@@ -3,8 +3,14 @@
 Output is deterministic: fixed key order, floats serialized through
 Python's shortest round-trip repr (at most 17 significant digits), and
 seeded randomness only.  Exit codes: 0 all checks passed, 1 a check
-failed its threshold, 2 usage or guard error.  Sweep subcommands cap
-their worker pool at VERTEX_SHEAF_THREADS (default: serial).
+failed its threshold, 2 usage or guard error.  A non-finite number
+anywhere in a report is a guard error, so a report on stdout is always
+strict JSON.  ``--tol`` exists only on subcommands with a pass
+threshold; its default comes from ``DEFAULT_THRESHOLDS``.
+
+Each ``cmd_*`` function builds its own report fields and returns
+``(report, ok)``; ``main`` alone resolves the threshold, appends
+``"pass"``, serializes and picks the exit code.
 """
 
 from __future__ import annotations
@@ -12,9 +18,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -54,22 +59,6 @@ DEFAULT_THRESHOLDS = {
 _PARITY = {"ev": Parity.EVEN, "od": Parity.ODD, "even": Parity.EVEN, "odd": Parity.ODD}
 
 
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("VERTEX_SHEAF_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _run_ordered(func, items):
-    """Apply func over items, optionally on a thread pool, keeping order."""
-    workers = _max_workers()
-    if workers == 1 or len(items) <= 1:
-        return [func(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
-
-
 def _matrix_json(m: np.ndarray) -> list:
     """Nested [re, im] pairs, row-major."""
     m = np.asarray(m, dtype=complex)
@@ -80,15 +69,14 @@ def _complex_json(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
 
-def _emit(report: dict, args) -> None:
-    indent = 2 if getattr(args, "pretty", False) else None
-    text = json.dumps(report, indent=indent)
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+def _is_finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(_is_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_is_finite(v) for v in value)
+    return True
 
 
 def _parse_floats(text: str, count: int, label: str) -> list[float]:
@@ -98,7 +86,7 @@ def _parse_floats(text: str, count: int, label: str) -> list[float]:
     return [float(p) for p in parts]
 
 
-def cmd_param(args) -> int:
+def cmd_param(args, tol) -> tuple[dict, bool]:
     point = EllipticPoint(args.k, args.lam, args.mu)
     ws = baxter_weights(point)
     report = {
@@ -112,13 +100,10 @@ def cmd_param(args) -> int:
         "d": ws.d,
     }
     report.update(manifold_report(to_eight(ws)).to_json_dict())
-    report["pass"] = True
-    _emit(report, args)
-    return 0
+    return report, True
 
 
-def cmd_ybe(args) -> int:
-    tol = args.tol if args.tol is not None else DEFAULT_THRESHOLDS["residual"]
+def cmd_ybe(args, tol) -> tuple[dict, bool]:
     params = ThetaParams.from_modulus(args.k)
     if args.parities.strip().lower() == "all":
         triples = list(itertools.product((Parity.ODD, Parity.EVEN), repeat=3))
@@ -127,19 +112,14 @@ def cmd_ybe(args) -> int:
         if len(labels) != 3 or any(p not in _PARITY for p in labels):
             raise ValueError("parities must be three of ev/od, or 'all'")
         triples = [tuple(_PARITY[p] for p in labels)]
-
-    def one(tri):
+    records = []
+    for tri in triples:
         res = sheaf_yang_baxter_residual(
             tri, args.mu1, args.mu2, args.k, args.lam, params, detune=args.detune
         )
-        return {
-            "parities": [p.value for p in tri],
-            "residual": res,
-            "pass": bool(res < tol),
-        }
-
-    records = _run_ordered(one, triples)
-    ok = all(rec["pass"] for rec in records)
+        records.append(
+            {"parities": [p.value for p in tri], "residual": res, "pass": bool(res < tol)}
+        )
     report = {
         "command": "ybe",
         "k": args.k,
@@ -149,14 +129,11 @@ def cmd_ybe(args) -> int:
         "detune": args.detune,
         "tol": tol,
         "records": records,
-        "pass": ok,
     }
-    _emit(report, args)
-    return 0 if ok else 1
+    return report, all(rec["pass"] for rec in records)
 
 
-def cmd_solve_r(args) -> int:
-    tol = args.tol if args.tol is not None else DEFAULT_THRESHOLDS["kernel"]
+def cmd_solve_r(args, tol) -> tuple[dict, bool]:
     res_tol = DEFAULT_THRESHOLDS["residual"]
     if args.weights1 or args.weights2:
         if not (args.weights1 and args.weights2):
@@ -207,13 +184,10 @@ def cmd_solve_r(args) -> int:
             ok = ok and gap < tol
         else:
             ok = False
-    report["pass"] = ok
-    _emit(report, args)
-    return 0 if ok else 1
+    return report, ok
 
 
-def cmd_commute(args) -> int:
-    tol = args.tol if args.tol is not None else DEFAULT_THRESHOLDS["commutator"]
+def cmd_commute(args, tol) -> tuple[dict, bool]:
     params = ThetaParams.from_modulus(args.k)
     mus = [float(x) for x in args.mus.split(",") if x]
     points = [
@@ -223,7 +197,6 @@ def cmd_commute(args) -> int:
     if len(kinds) != 2:
         raise ValueError("--kinds needs two comma-separated transfer kinds")
     norms = transfer.commutation_scan(points, args.sites, kinds)
-    ok = bool(norms.max() < tol)
     report = {
         "command": "commute",
         "k": args.k,
@@ -234,10 +207,8 @@ def cmd_commute(args) -> int:
         "tol": tol,
         "norms": [[float(x) for x in row] for row in norms],
         "max_norm": float(norms.max()),
-        "pass": ok,
     }
-    _emit(report, args)
-    return 0 if ok else 1
+    return report, bool(norms.max() < tol)
 
 
 def _weights_from_args(args) -> WeightsEight:
@@ -249,8 +220,7 @@ def _weights_from_args(args) -> WeightsEight:
     return WeightsEight(tuple(rng.uniform(0.2, 1.4, size=8)), parity)
 
 
-def cmd_partition(args) -> int:
-    tol = args.tol if args.tol is not None else DEFAULT_THRESHOLDS["enumeration"]
+def cmd_partition(args, tol) -> tuple[dict, bool]:
     w8 = _weights_from_args(args)
     lattice = transfer.LatticeSpec(args.rows, args.cols)
     report = {
@@ -278,17 +248,13 @@ def cmd_partition(args) -> int:
         gap = abs(zt - ze) / scale if scale > 0 else 0.0
         report["rel_diff"] = gap
         ok = gap < tol
-    report["pass"] = ok
-    _emit(report, args)
-    return 0 if ok else 1
+    return report, ok
 
 
-def cmd_wukunz(args) -> int:
-    tol = args.tol if args.tol is not None else DEFAULT_THRESHOLDS["enumeration"]
+def cmd_wukunz(args, tol) -> tuple[dict, bool]:
     w8 = _weights_from_args(args)
     lattice = transfer.LatticeSpec(args.rows, args.cols)
     rep = transfer.wu_kunz_check(w8, lattice, backend=args.backend)
-    ok = rep.rel_diff < tol
     report = {
         "command": "wukunz",
         "weights": weights_to_json(w8),
@@ -296,19 +262,15 @@ def cmd_wukunz(args) -> int:
         "tol": tol,
     }
     report.update(rep.to_json_dict())
-    report["pass"] = ok
-    _emit(report, args)
-    return 0 if ok else 1
+    return report, rep.rel_diff < tol
 
 
-def cmd_sample_krinsky(args) -> int:
-    tol = DEFAULT_THRESHOLDS["commutator"]
+def cmd_sample_krinsky(args, tol) -> tuple[dict, bool]:
     first, second = sample_krinsky_pair(args.seed)
     inv1 = np.array(krinsky_invariants(first))
     inv2 = np.array(krinsky_invariants(second))
     ff = (abs(free_fermion_residual(first)), abs(free_fermion_residual(second)))
     gap = float(np.max(np.abs(inv1 - inv2)))
-    ok = max(ff) < tol and gap < tol
     report = {
         "command": "sample-krinsky",
         "seed": args.seed,
@@ -318,10 +280,8 @@ def cmd_sample_krinsky(args) -> int:
         "krinsky_first": [float(x) for x in inv1],
         "krinsky_gap": gap,
         "tol": tol,
-        "pass": ok,
     }
-    _emit(report, args)
-    return 0 if ok else 1
+    return report, max(ff) < tol and gap < tol
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -331,19 +291,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help, threshold=None):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
         p.add_argument("--output", help="write the report to a file instead of stdout")
-        p.add_argument("--tol", type=float, default=None, help="override the pass threshold")
+        if threshold is not None:
+            p.add_argument("--tol", type=float, default=DEFAULT_THRESHOLDS[threshold],
+                           help="pass threshold (default: %(default)g)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("param", help="elliptic weights and manifold invariants")
+    p = command("param", cmd_param, "elliptic weights and manifold invariants")
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--mu", type=float, required=True)
-    common(p)
-    p.set_defaults(func=cmd_param)
 
-    p = sub.add_parser("ybe", help="parity-labelled Yang-Baxter residuals")
+    p = command("ybe", cmd_ybe, "parity-labelled Yang-Baxter residuals", "residual")
     p.add_argument("--k", type=float, default=0.5)
     p.add_argument("--lam", type=float, default=0.7)
     p.add_argument("--mu1", type=float, required=True)
@@ -351,29 +314,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parities", default="od,od,ev", help="three of ev/od, or 'all'")
     p.add_argument("--detune", type=float, default=0.0,
                    help="shift the middle spectral argument (negative control)")
-    common(p)
-    p.set_defaults(func=cmd_ybe)
 
-    p = sub.add_parser("solve-r", help="discover the intertwiner by SVD kernel")
+    p = command("solve-r", cmd_solve_r, "discover the intertwiner by SVD kernel", "kernel")
     p.add_argument("--k", type=float, default=0.5)
     p.add_argument("--lam", type=float, default=0.7)
     p.add_argument("--mu1", type=float, default=None)
     p.add_argument("--mu2", type=float, default=None)
     p.add_argument("--weights1", help="a,b,c,d of the first point (off-manifold runs)")
     p.add_argument("--weights2", help="a,b,c,d of the second point")
-    common(p)
-    p.set_defaults(func=cmd_solve_r)
 
-    p = sub.add_parser("commute", help="pairwise transfer-matrix commutators")
+    p = command("commute", cmd_commute, "pairwise transfer-matrix commutators", "commutator")
     p.add_argument("--k", type=float, default=0.5)
     p.add_argument("--lam", type=float, default=0.7)
     p.add_argument("--mus", required=True, help="comma-separated spectral points")
     p.add_argument("--sites", type=int, default=6)
     p.add_argument("--kinds", default="even,even", help="two of even/odd/stag1/stag2/stagprod")
-    common(p)
-    p.set_defaults(func=cmd_commute)
 
-    p = sub.add_parser("partition", help="torus partition function")
+    p = command("partition", cmd_partition, "torus partition function", "enumeration")
     p.add_argument("--model", choices=("even", "odd"), required=True)
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
@@ -381,35 +338,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--staggered", action="store_true")
     p.add_argument("--backend", choices=("trace", "enumerate", "both"), default="both")
-    common(p)
-    p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("wukunz", help="uniform vs staggered equivalence check")
+    p = command("wukunz", cmd_wukunz, "uniform vs staggered equivalence check", "enumeration")
     p.add_argument("--model", choices=("even", "odd"), default="odd")
     p.add_argument("--rows", type=int, default=2)
     p.add_argument("--cols", type=int, default=2)
     p.add_argument("--weights", help="w1..w8 comma-separated; omit to draw from --seed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--backend", choices=("trace", "enumerate"), default="enumerate")
-    common(p)
-    p.set_defaults(func=cmd_wukunz)
 
-    p = sub.add_parser("sample-krinsky", help="seeded on-manifold weight pair")
+    p = command("sample-krinsky", cmd_sample_krinsky, "seeded on-manifold weight pair",
+                "commutator")
     p.add_argument("--seed", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_sample_krinsky)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; write its report and return the exit code."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, ok = args.func(args, getattr(args, "tol", None))
+        bad = [key for key, value in report.items() if not _is_finite(value)]
+        if bad:
+            raise GuardError(f"non-finite result in {', '.join(bad)}")
+        code = 0 if ok else 1
     except (GuardError, UndefinedInvariantError, ValueError) as exc:
-        _emit({"command": args.command, "error": str(exc), "pass": False}, args)
-        return 2
+        report, ok, code = {"command": args.command, "error": str(exc)}, False, 2
+    report["pass"] = bool(ok)
+    text = json.dumps(report, indent=2 if args.pretty else None, allow_nan=False)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        sys.stdout.write(text + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -38,7 +38,12 @@ SERIES_CAP = 10_000
 
 
 class GuardError(ValueError):
-    """An argument left the convergence region of the theta products."""
+    """An argument or result outside the region where it is valid.
+
+    Raised for non-finite elliptic points and theta arguments outside
+    the convergence strip; the CLI also raises it for a report holding
+    a non-finite number.
+    """
 
 
 def _agm(a: float, b: float) -> float:
@@ -169,6 +174,10 @@ class EllipticPoint:
     mu: float
 
     def validate(self, params: ThetaParams | None = None) -> ThetaParams:
+        for name in ("k", "lam", "mu"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise GuardError(f"{name} must be finite, got {value}")
         if not 0.0 < self.k < 1.0:
             raise GuardError(f"modulus must lie in (0, 1), got {self.k}")
         if self.lam <= 0.0:

@@ -54,7 +54,6 @@ __all__ = [
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 #: nonzero positions of the two sparsity classes
@@ -305,8 +304,11 @@ def solve_intertwiner(
 
     Vectorizes R -> R12 (L'13 L''23) - (L''23 L'13) R12 into a 64x16
     linear map and returns its SVD kernel dimension together with the
-    kernel vectors reshaped to 4x4 and gauge-normalized.
+    kernel vectors reshaped to 4x4 and gauge-normalized.  A zero Lax
+    operator is rejected: every R would solve the relation.
     """
+    if not (lax_p.matrix.any() and lax_pp.matrix.any()):
+        raise ValueError("cannot solve for the intertwiner of a zero Lax operator")
     l13 = linalg.two_site_operator(lax_p.matrix, 3, 0, 2)
     l23 = linalg.two_site_operator(lax_pp.matrix, 3, 1, 2)
     a = l13 @ l23
@@ -351,17 +353,3 @@ def sheaf_yang_baxter_residual(
     f13 = linalg.two_site_operator(r13, 3, 0, 2)
     f23 = linalg.two_site_operator(r23, 3, 1, 2)
     return linalg.max_abs(f12 @ f13 @ f23 - f23 @ f13 @ f12) / scale
-
-
-def lax_even_elliptic(
-    k: float, lam: float, mu: float, params: ThetaParams | None = None
-) -> LaxOperator:
-    """Symmetric even Lax operator at an elliptic point."""
-    return lax_even(baxter_weights(EllipticPoint(k, lam, mu), params))
-
-
-def lax_odd_elliptic(
-    k: float, lam: float, mu: float, params: ThetaParams | None = None
-) -> LaxOperator:
-    """Symmetric odd Lax operator at an elliptic point."""
-    return lax_odd(baxter_weights(EllipticPoint(k, lam, mu), params))

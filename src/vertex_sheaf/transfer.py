@@ -95,9 +95,10 @@ def _aux_blocks(m4: np.ndarray) -> list[list[np.ndarray]]:
     return [[m4[2 * a : 2 * a + 2, 2 * ap : 2 * ap + 2] for ap in (0, 1)] for a in (0, 1)]
 
 
-def _trace_blocks(matrices: list[np.ndarray]) -> np.ndarray:
-    """Ordered block product over a row, traced on the auxiliary index."""
+def _block_prefixes(matrices: list[np.ndarray]):
+    """Auxiliary 2x2 blocks of the ordered block product of every prefix of a row."""
     acc = _aux_blocks(matrices[0])
+    yield acc
     for m4 in matrices[1:]:
         blk = _aux_blocks(m4)
         acc = [
@@ -107,6 +108,13 @@ def _trace_blocks(matrices: list[np.ndarray]) -> np.ndarray:
             ]
             for a in (0, 1)
         ]
+        yield acc
+
+
+def _trace_blocks(matrices: list[np.ndarray]) -> np.ndarray:
+    """Ordered block product over a row, traced on the auxiliary index."""
+    for acc in _block_prefixes(matrices):
+        pass
     return acc[0][0] + acc[1][1]
 
 
@@ -128,20 +136,10 @@ def transfer_family(lax: LaxOperator, max_sites: int) -> list[TransferMatrix]:
     keeps whole-family scans linear in the largest size.
     """
     _check_sites(max_sites)
-    out = []
-    blk = _aux_blocks(lax.matrix)
-    acc = blk
-    out.append(TransferMatrix(acc[0][0] + acc[1][1], 1, lax.kind))
-    for sites in range(2, max_sites + 1):
-        acc = [
-            [
-                np.kron(acc[a][0], blk[0][c]) + np.kron(acc[a][1], blk[1][c])
-                for c in (0, 1)
-            ]
-            for a in (0, 1)
-        ]
-        out.append(TransferMatrix(acc[0][0] + acc[1][1], sites, lax.kind))
-    return out
+    return [
+        TransferMatrix(acc[0][0] + acc[1][1], sites, lax.kind)
+        for sites, acc in enumerate(_block_prefixes([lax.matrix] * max_sites), 1)
+    ]
 
 
 def sigma_x_string(sites: int) -> np.ndarray:
@@ -346,6 +344,8 @@ def commutation_scan(
     matrix at points[i] with the kinds[1] transfer matrix at points[j],
     all on the same chain.
     """
+    if not points:
+        raise ValueError("commutation scan needs at least one point")
     first = [_transfer_of_kind(p, kinds[0], sites) for p in points]
     second = (
         first

@@ -7,10 +7,14 @@ import pytest
 from vertex_sheaf.cli import DEFAULT_THRESHOLDS, main
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_reject_constant)
 
 
 class TestParam:
@@ -32,6 +36,12 @@ class TestParam:
         assert code == 2
         assert "error" in rep
         assert rep["pass"] is False
+
+    def test_has_no_threshold_to_override(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["param", "--k", "0.5", "--lam", "0.7", "--mu", "0.3", "--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
 
 class TestYbe:
@@ -83,6 +93,13 @@ class TestSolveR:
         code, rep = run_cli(capsys, "solve-r")
         assert code == 2
 
+    def test_zero_lax_operator_is_a_guard_error(self, capsys):
+        code, rep = run_cli(capsys, "solve-r",
+                            "--weights1", "0,0,0,0",
+                            "--weights2", "0.7,1.3,0.5,1.1")
+        assert code == 2
+        assert "zero Lax operator" in rep["error"]
+
 
 class TestCommute:
     def test_manifold_points_pass(self, capsys):
@@ -96,6 +113,11 @@ class TestCommute:
                             "--sites", "4", "--kinds", "even,sideways")
         assert code == 2
         assert "error" in rep
+
+    def test_empty_point_list_is_a_guard_error(self, capsys):
+        code, rep = run_cli(capsys, "commute", "--mus", ",")
+        assert code == 2
+        assert "at least one point" in rep["error"]
 
 
 class TestPartition:
@@ -111,6 +133,17 @@ class TestPartition:
                             "--rows", "2", "--cols", "2", "--seed", "3")
         assert code == 0
         assert rep["rel_diff"] < DEFAULT_THRESHOLDS["enumeration"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_trace_is_a_guard_error(self, capsys):
+        code = main(["partition", "--model", "even", "--rows", "200", "--cols", "2",
+                     "--weights", "9,9,9,9,9,9,9,9", "--backend", "trace"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "NaN" not in out
+        rep = json.loads(out)
+        assert "non-finite" in rep["error"] and "trace" in rep["error"]
 
 
 class TestWuKunz:
@@ -129,6 +162,52 @@ class TestSampleKrinsky:
         assert rep["first"]["parity"] == "odd"
         assert max(rep["ff_residuals"]) < 1e-10
         assert rep["krinsky_gap"] < 1e-9
+
+    def test_tol_is_honoured(self, capsys):
+        code, rep = run_cli(capsys, "sample-krinsky", "--seed", "4", "--tol", "1e-300")
+        assert code == 1
+        assert rep["tol"] == 1e-300
+        assert rep["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["param", "--k", "0.5", "--lam", "0.7", "--mu", "nan"],
+        ["ybe", "--mu1", "nan", "--mu2", "0.3"],
+        ["solve-r", "--mu1", "0.55", "--mu2", "inf"],
+    ],
+)
+def test_non_finite_spectral_input_is_a_guard_error(capsys, argv):
+    code, rep = run_cli(capsys, *argv)
+    assert code == 2
+    bad = "inf" if "inf" in argv else "nan"
+    assert f"must be finite, got {bad}" in rep["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["param", "--k", "0.5", "--lam", "0.7", "--mu", "0.3"],
+        ["ybe", "--mu1", "0.2", "--mu2", "0.3"],
+        ["ybe", "--mu1", "0.2", "--mu2", "0.3", "--detune", "0.1"],
+        ["solve-r", "--mu1", "0.55", "--mu2", "0.25"],
+        ["commute", "--mus", "0.1,0.3", "--sites", "4"],
+        ["partition", "--model", "odd", "--rows", "2", "--cols", "2", "--seed", "1"],
+        ["wukunz", "--seed", "42"],
+        ["sample-krinsky", "--seed", "4"],
+        ["param", "--k", "0.5", "--lam", "0.7", "--mu", "9.0"],
+    ],
+)
+def test_single_report_path(capsys, argv):
+    """Every report is strict JSON ending in "pass", and the exit code agrees."""
+    code, rep = run_cli(capsys, *argv)
+    assert list(rep)[-1] == "pass"
+    if "error" in rep:
+        assert code == 2
+    else:
+        assert code == (0 if rep["pass"] else 1)
+    assert rep["pass"] is (code == 0)
 
 
 class TestDeterminism:
@@ -155,15 +234,6 @@ class TestDeterminism:
         assert code == 0
         rep = json.loads(path.read_text())
         assert rep["command"] == "param"
-
-    def test_thread_env_does_not_change_output(self, capsys, monkeypatch):
-        argv = ["ybe", "--mu1", "0.2", "--mu2", "0.3", "--parities", "all"]
-        main(list(argv))
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("VERTEX_SHEAF_THREADS", "4")
-        main(list(argv))
-        threaded = capsys.readouterr().out
-        assert serial == threaded
 
 
 def test_module_entry_point():
