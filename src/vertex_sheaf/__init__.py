@@ -23,7 +23,6 @@ from .operators import (
     LaxOperator,
     lax_asym_even,
     lax_asym_odd,
-    lax_asym_odd_companion,
     lax_even,
     lax_odd,
     functional_residuals,

@@ -16,6 +16,7 @@ Each ``cmd_*`` function builds its own report fields and returns
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -77,6 +78,14 @@ def _is_finite(value) -> bool:
     if isinstance(value, (list, tuple)):
         return all(_is_finite(v) for v in value)
     return True
+
+
+def positive_float(text: str) -> float:
+    """``--tol`` values: a threshold must be finite and > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
 
 
 def _parse_floats(text: str, count: int, label: str) -> list[float]:
@@ -284,6 +293,7 @@ def cmd_sample_krinsky(args, tol) -> tuple[dict, bool]:
     return report, max(ff) < tol and gap < tol
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vertex-sheaf",
@@ -296,7 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
         p.add_argument("--output", help="write the report to a file instead of stdout")
         if threshold is not None:
-            p.add_argument("--tol", type=float, default=DEFAULT_THRESHOLDS[threshold],
+            p.add_argument("--tol", type=positive_float,
+                           default=DEFAULT_THRESHOLDS[threshold],
                            help="pass threshold (default: %(default)g)")
         p.set_defaults(func=func)
         return p

@@ -115,25 +115,28 @@ def _guard(u: complex, params: ThetaParams) -> complex:
     return u
 
 
+def _theta_product(x: complex, q: float, val: complex, qc: float) -> complex:
+    """val * prod_{n>=1} (1 - 2 qc q^(2n) cos(x) + (qc q^(2n))^2) (1 - q^(2n))."""
+    cosx = cmath.cos(x)
+    q2n = 1.0
+    for _ in range(SERIES_CAP):
+        qc *= q * q
+        q2n *= q * q
+        factor = (1.0 - 2.0 * qc * cosx + qc * qc) * (1.0 - q2n)
+        val *= factor
+        if abs(factor - 1.0) < SERIES_TOL:
+            return val
+    raise GuardError("theta product failed to converge within the term cap")
+
+
 def theta_h(u: complex, params: ThetaParams) -> complex:
     """Odd theta function H(u) of the modulus behind ``params``.
 
     H(u) = 2 q^(1/4) sin(pi u / 2K)
            prod_{n>=1} (1 - 2 q^(2n) cos(pi u / K) + q^(4n)) (1 - q^(2n)).
     """
-    u = _guard(u, params)
-    x = math.pi * u / params.K
-    q = params.q
-    val = 2.0 * q**0.25 * cmath.sin(0.5 * x)
-    cosx = cmath.cos(x)
-    q2n = 1.0
-    for _ in range(SERIES_CAP):
-        q2n *= q * q
-        factor = (1.0 - 2.0 * q2n * cosx + q2n * q2n) * (1.0 - q2n)
-        val *= factor
-        if abs(factor - 1.0) < SERIES_TOL:
-            return val
-    raise GuardError("theta product failed to converge within the term cap")
+    x = math.pi * _guard(u, params) / params.K
+    return _theta_product(x, params.q, 2.0 * params.q**0.25 * cmath.sin(0.5 * x), 1.0)
 
 
 def theta_t(u: complex, params: ThetaParams) -> complex:
@@ -141,21 +144,8 @@ def theta_t(u: complex, params: ThetaParams) -> complex:
 
     Theta(u) = prod_{n>=1} (1 - 2 q^(2n-1) cos(pi u / K) + q^(4n-2)) (1 - q^(2n)).
     """
-    u = _guard(u, params)
-    x = math.pi * u / params.K
-    q = params.q
-    val = 1.0 + 0.0j
-    cosx = cmath.cos(x)
-    q2n1 = 1.0 / q
-    q2n = 1.0
-    for _ in range(SERIES_CAP):
-        q2n1 *= q * q
-        q2n *= q * q
-        factor = (1.0 - 2.0 * q2n1 * cosx + q2n1 * q2n1) * (1.0 - q2n)
-        val *= factor
-        if abs(factor - 1.0) < SERIES_TOL:
-            return val
-    raise GuardError("theta product failed to converge within the term cap")
+    x = math.pi * _guard(u, params) / params.K
+    return _theta_product(x, params.q, 1.0 + 0.0j, 1.0 / params.q)
 
 
 @dataclass(frozen=True)

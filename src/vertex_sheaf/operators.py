@@ -6,6 +6,11 @@ parity pairs, and everything needed to test the Yang-Baxter equation
 numerically: leg embeddings, residuals, the six functional relations,
 and an SVD kernel solver that discovers the intertwiner from scratch.
 
+Every 4x4 vertex matrix, Lax operator and intertwiner alike, is eight
+weights on one of two sparsity patterns: ``SLOTS`` is the one vertex
+dictionary of where w1..w8 sit, filled by ``vertex_matrix``, and both
+partition backends of the transfer module read their weights through it.
+
 Basis conventions, fixed once for the whole package: two-dimensional
 legs with up = index 0, basis order (00, 01, 10, 11), first tensor slot
 the horizontal/auxiliary space.  Structural zeros of every constructor
@@ -36,13 +41,14 @@ __all__ = [
     "SIGMA_X",
     "IDENTITY_2",
     "LaxOperator",
+    "SLOTS",
+    "vertex_matrix",
     "even_pattern",
     "odd_pattern",
     "matches_pattern",
     "lax_even",
     "lax_odd",
     "lax_asym_odd",
-    "lax_asym_odd_companion",
     "lax_asym_even",
     "r_sheaf",
     "sheaf_r_elliptic",
@@ -56,13 +62,18 @@ __all__ = [
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
+#: the vertex dictionary: where w1..w8 sit in each sparsity class,
+#:   even [[w1,0,0,w7],[0,w3,w6,0],[0,w5,w4,0],[w8,0,0,w2]]
+#:   odd  [[0,w1,w7,0],[w3,0,0,w6],[w5,0,0,w4],[0,w8,w2,0]]
+SLOTS = {
+    "even": ((0, 0), (3, 3), (1, 1), (2, 2), (2, 1), (1, 2), (0, 3), (3, 0)),
+    "odd": ((0, 1), (3, 2), (1, 0), (2, 3), (2, 0), (1, 3), (0, 2), (3, 1)),
+}
+_FLAT_SLOTS = {kind: np.array([4 * i + j for i, j in ij]) for kind, ij in SLOTS.items()}
+
 #: nonzero positions of the two sparsity classes
-EVEN_POSITIONS = frozenset(
-    {(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)}
-)
-ODD_POSITIONS = frozenset(
-    {(0, 1), (1, 0), (2, 3), (3, 2), (0, 2), (2, 0), (1, 3), (3, 1)}
-)
+EVEN_POSITIONS = frozenset(SLOTS["even"])
+ODD_POSITIONS = frozenset(SLOTS["odd"])
 
 
 @dataclass(frozen=True)
@@ -86,22 +97,21 @@ class LaxOperator:
         return "even" if self.pair[0] is self.pair[1] else "odd"
 
 
+def vertex_matrix(kind: str, w) -> np.ndarray:
+    """The 4x4 matrix with w1..w8 at the ``SLOTS[kind]`` positions, zero elsewhere."""
+    m = np.zeros(16, dtype=complex)
+    m[_FLAT_SLOTS[kind]] = w
+    return m.reshape(4, 4)
+
+
 def even_pattern(r1, r2, r3, r4) -> np.ndarray:
     """[[r1,0,0,r4],[0,r2,r3,0],[0,r3,r2,0],[r4,0,0,r1]]"""
-    z = 0.0
-    return np.array(
-        [[r1, z, z, r4], [z, r2, r3, z], [z, r3, r2, z], [r4, z, z, r1]],
-        dtype=complex,
-    )
+    return vertex_matrix("even", (r1, r1, r2, r2, r3, r3, r4, r4))
 
 
 def odd_pattern(a, b, c, d) -> np.ndarray:
     """[[0,a,d,0],[b,0,0,c],[c,0,0,b],[0,d,a,0]]"""
-    z = 0.0
-    return np.array(
-        [[z, a, d, z], [b, z, z, c], [c, z, z, b], [z, d, a, z]],
-        dtype=complex,
-    )
+    return vertex_matrix("odd", (a, a, b, b, c, c, d, d))
 
 
 def matches_pattern(m: np.ndarray, kind: str, tol: float = 0.0) -> bool:
@@ -118,8 +128,7 @@ def matches_pattern(m: np.ndarray, kind: str, tol: float = 0.0) -> bool:
 
 def lax_even(ws: WeightsSym) -> LaxOperator:
     """Symmetric even vertex operator: weights on the even pattern."""
-    a, b, c, d = ws.as_tuple()
-    return LaxOperator(even_pattern(a, b, c, d), (Parity.EVEN, Parity.EVEN))
+    return LaxOperator(even_pattern(*ws.as_tuple()), (Parity.EVEN, Parity.EVEN))
 
 
 def lax_odd(ws: WeightsSym) -> LaxOperator:
@@ -128,57 +137,29 @@ def lax_odd(ws: WeightsSym) -> LaxOperator:
     Equals (sx (x) sx) L_even (sx (x) I) for every weight point, the
     weight-independent local transformation linking the two families.
     """
-    a, b, c, d = ws.as_tuple()
-    return LaxOperator(odd_pattern(a, b, c, d), (Parity.ODD, Parity.EVEN))
+    return LaxOperator(odd_pattern(*ws.as_tuple()), (Parity.ODD, Parity.EVEN))
+
+
+def _lax_asym(w8: WeightsEight, parity: Parity) -> LaxOperator:
+    kind = parity.value
+    if w8.parity is not parity:
+        raise ValueError(f"asymmetric {kind} operator needs {kind}-family weights")
+    return LaxOperator(vertex_matrix(kind, w8.w), (parity, Parity.EVEN))
 
 
 def lax_asym_odd(w8: WeightsEight) -> LaxOperator:
     """Asymmetric odd vertex operator (sublattice X of the staggered chain).
 
-    [[0,w1,w7,0],[w3,0,0,w6],[w5,0,0,w4],[0,w8,w2,0]]; reduces to the
+    The eight weights on the odd ``SLOTS`` pattern; reduces to the
     symmetric odd operator at arrow-inversion symmetric weights.
     """
-    if w8.parity is not Parity.ODD:
-        raise ValueError("asymmetric odd operator needs odd-family weights")
-    w = w8.w
-    m = np.array(
-        [
-            [0.0, w[0], w[6], 0.0],
-            [w[2], 0.0, 0.0, w[5]],
-            [w[4], 0.0, 0.0, w[3]],
-            [0.0, w[7], w[1], 0.0],
-        ],
-        dtype=complex,
-    )
-    return LaxOperator(m, (Parity.ODD, Parity.EVEN))
-
-
-def lax_asym_odd_companion(w8: WeightsEight) -> LaxOperator:
-    """Sublattice-Y partner of :func:`lax_asym_odd`.
-
-    [[0,w3,w6,0],[w1,0,0,w7],[w8,0,0,w2],[0,w5,w4,0]]; identical to the
-    plain operator evaluated at the sublattice companion permutation of
-    the weights.
-    """
-    if w8.parity is not Parity.ODD:
-        raise ValueError("asymmetric odd operator needs odd-family weights")
-    w = w8.w
-    m = np.array(
-        [
-            [0.0, w[2], w[5], 0.0],
-            [w[0], 0.0, 0.0, w[6]],
-            [w[7], 0.0, 0.0, w[1]],
-            [0.0, w[4], w[3], 0.0],
-        ],
-        dtype=complex,
-    )
-    return LaxOperator(m, (Parity.ODD, Parity.EVEN))
+    return _lax_asym(w8, Parity.ODD)
 
 
 def lax_asym_even(w8: WeightsEight) -> LaxOperator:
     """Asymmetric even vertex operator, the staggered-equivalence partner.
 
-    [[w1,0,0,w7],[0,w3,w6,0],[0,w5,w4,0],[w8,0,0,w2]].  The entry
+    The eight weights on the even ``SLOTS`` pattern.  The entry
     dictionary is pinned by two requirements: the symmetric limit is the
     even operator above, and flipping one vertical leg per vertex turns
     a uniform odd torus into the staggered even torus with the companion
@@ -187,19 +168,7 @@ def lax_asym_even(w8: WeightsEight) -> LaxOperator:
     Equivalently it equals the plain asymmetric odd matrix times
     (I (x) sx).
     """
-    if w8.parity is not Parity.EVEN:
-        raise ValueError("asymmetric even operator needs even-family weights")
-    w = w8.w
-    m = np.array(
-        [
-            [w[0], 0.0, 0.0, w[6]],
-            [0.0, w[2], w[5], 0.0],
-            [0.0, w[4], w[3], 0.0],
-            [w[7], 0.0, 0.0, w[1]],
-        ],
-        dtype=complex,
-    )
-    return LaxOperator(m, (Parity.EVEN, Parity.EVEN))
+    return _lax_asym(w8, Parity.EVEN)
 
 
 def r_sheaf(pair: tuple[Parity, Parity], ws: WeightsSym) -> np.ndarray:
@@ -211,13 +180,9 @@ def r_sheaf(pair: tuple[Parity, Parity], ws: WeightsSym) -> np.ndarray:
     Exchanging both labels amounts to the weight swap a<->c, b<->d.
     """
     alpha, beta = pair
-    if alpha is Parity.EVEN and beta is Parity.EVEN:
-        return even_pattern(*ws.as_tuple())
-    if alpha is Parity.ODD and beta is Parity.ODD:
-        return even_pattern(*ev_od_swap(ws).as_tuple())
-    if alpha is Parity.ODD and beta is Parity.EVEN:
-        return odd_pattern(*ws.as_tuple())
-    return odd_pattern(*ev_od_swap(ws).as_tuple())
+    if beta is Parity.ODD:
+        ws = ev_od_swap(ws)
+    return (even_pattern if alpha is beta else odd_pattern)(*ws.as_tuple())
 
 
 def sheaf_r_elliptic(
@@ -237,6 +202,17 @@ def sheaf_r_elliptic(
     return r_sheaf(pair, ws)
 
 
+def _three_leg_residual(x12: np.ndarray, x13: np.ndarray, x23: np.ndarray) -> float:
+    """Max-entry norm of X12 X13 X23 - X23 X13 X12 over the product of operand norms."""
+    scale = linalg.max_abs(x12) * linalg.max_abs(x13) * linalg.max_abs(x23)
+    if scale == 0.0:
+        return 0.0
+    f12 = linalg.two_site_operator(x12, 3, 0, 1)
+    f13 = linalg.two_site_operator(x13, 3, 0, 2)
+    f23 = linalg.two_site_operator(x23, 3, 1, 2)
+    return linalg.max_abs(f12 @ f13 @ f23 - f23 @ f13 @ f12) / scale
+
+
 def yang_baxter_residual(
     r12: np.ndarray, lax_p: LaxOperator, lax_pp: LaxOperator
 ) -> float:
@@ -245,20 +221,7 @@ def yang_baxter_residual(
     Max-entry norm of the difference, divided by the product of the
     operand norms.
     """
-    r12 = linalg.as_matrix(r12)
-    scale = (
-        linalg.max_abs(r12)
-        * linalg.max_abs(lax_p.matrix)
-        * linalg.max_abs(lax_pp.matrix)
-    )
-    if scale == 0.0:
-        return 0.0
-    r12_full = linalg.two_site_operator(r12, 3, 0, 1)
-    l13 = linalg.two_site_operator(lax_p.matrix, 3, 0, 2)
-    l23 = linalg.two_site_operator(lax_pp.matrix, 3, 1, 2)
-    lhs = r12_full @ l13 @ l23
-    rhs = l23 @ l13 @ r12_full
-    return linalg.max_abs(lhs - rhs) / scale
+    return _three_leg_residual(linalg.as_matrix(r12), lax_p.matrix, lax_pp.matrix)
 
 
 def functional_residuals(
@@ -346,10 +309,4 @@ def sheaf_yang_baxter_residual(
     r12 = sheaf_r_elliptic((a1, a2), k, lam, mu1, params)
     r13 = sheaf_r_elliptic((a1, a3), k, lam, mu1 + mu2 + detune, params)
     r23 = sheaf_r_elliptic((a2, a3), k, lam, mu2, params)
-    scale = linalg.max_abs(r12) * linalg.max_abs(r13) * linalg.max_abs(r23)
-    if scale == 0.0:
-        return 0.0
-    f12 = linalg.two_site_operator(r12, 3, 0, 1)
-    f13 = linalg.two_site_operator(r13, 3, 0, 2)
-    f23 = linalg.two_site_operator(r23, 3, 1, 2)
-    return linalg.max_abs(f12 @ f13 @ f23 - f23 @ f13 @ f12) / scale
+    return _three_leg_residual(r12, r13, r23)

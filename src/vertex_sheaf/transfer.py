@@ -1,11 +1,12 @@
 """Row transfer matrices, partition functions, and commutation scans.
 
 Two independent partition-function backends share one vertex dictionary
-(the Lax matrix entries): a trace backend that multiplies 2x2 blocks of
-quantum operators along a row and traces the auxiliary index, and an
-exhaustive enumeration backend that sums the weight of every arrow
-configuration on a small torus.  Agreement between the two validates
-both; disagreement would expose a convention error immediately.
+(``operators.SLOTS``, read through the Lax constructors): a trace
+backend that multiplies 2x2 blocks of quantum operators along a row and
+traces the auxiliary index, and an exhaustive enumeration backend that
+sums the weight of every arrow configuration on a small torus.
+Agreement between the two validates both; disagreement would expose a
+convention error immediately.
 
 Edge layout of the enumeration backend, fixed for reproducibility:
 vertices row-major, each vertex (r, c) owning its left horizontal edge
@@ -23,10 +24,10 @@ import numpy as np
 
 from . import linalg
 from .operators import (
+    SIGMA_X,
     LaxOperator,
     lax_asym_even,
     lax_asym_odd,
-    lax_asym_odd_companion,
     lax_even,
     lax_odd,
 )
@@ -145,19 +146,17 @@ def transfer_family(lax: LaxOperator, max_sites: int) -> list[TransferMatrix]:
 def sigma_x_string(sites: int) -> np.ndarray:
     """Global spin-flip operator sx (x) sx (x) ... (x) sx."""
     _check_sites(sites)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return linalg.kron_chain([sx] * sites)
+    return linalg.kron_chain([SIGMA_X] * sites)
 
 
-def _staggered_row(w8: WeightsEight, pairs: int) -> tuple[list, list]:
-    """The two alternating-row operator sequences of the staggered chain."""
-    if w8.parity is Parity.ODD:
-        lx = lax_asym_odd(w8).matrix
-        ly = lax_asym_odd_companion(w8).matrix
-    else:
-        lx = lax_asym_even(w8).matrix
-        ly = lax_asym_even(reparity(staggered_companion(w8), Parity.EVEN)).matrix
-    return [lx, ly] * pairs, [ly, lx] * pairs
+def _uniform_lax(w8: WeightsEight) -> LaxOperator:
+    return lax_asym_odd(w8) if w8.parity is Parity.ODD else lax_asym_even(w8)
+
+
+def _sublattice_lax(w8: WeightsEight) -> tuple[np.ndarray, np.ndarray]:
+    """Sublattice X and Y vertex matrices: the weights, then their companion."""
+    companion = reparity(staggered_companion(w8), w8.parity)
+    return _uniform_lax(w8).matrix, _uniform_lax(companion).matrix
 
 
 def staggered_transfer_pair(
@@ -171,16 +170,12 @@ def staggered_transfer_pair(
     """
     if pairs < 1 or 2 * pairs > MAX_SITES:
         raise ValueError(f"staggered chain length {2 * pairs} outside 2..{MAX_SITES}")
-    row1, row2 = _staggered_row(w8, pairs)
+    lx, ly = _sublattice_lax(w8)
     sites = 2 * pairs
     return (
-        TransferMatrix(_trace_blocks(row1), sites, "staggered-1"),
-        TransferMatrix(_trace_blocks(row2), sites, "staggered-2"),
+        TransferMatrix(_trace_blocks([lx, ly] * pairs), sites, "staggered-1"),
+        TransferMatrix(_trace_blocks([ly, lx] * pairs), sites, "staggered-2"),
     )
-
-
-def _uniform_lax(w8: WeightsEight) -> LaxOperator:
-    return lax_asym_odd(w8) if w8.parity is Parity.ODD else lax_asym_even(w8)
 
 
 def partition_trace(
@@ -194,8 +189,6 @@ def partition_trace(
     if staggered:
         if lattice.rows % 2 or lattice.cols % 2:
             raise ValueError("staggered tori need even rows and cols")
-        if lattice.cols > 10:
-            raise ValueError("staggered trace backend limited to cols <= 10")
         t1, t2 = staggered_transfer_pair(w8, lattice.cols // 2)
         step = t1.matrix @ t2.matrix
         return complex(np.trace(np.linalg.matrix_power(step, lattice.rows // 2)))
@@ -227,10 +220,7 @@ def partition_enumerate(
     if staggered:
         if rows % 2 or cols % 2:
             raise ValueError("staggered tori need even rows and cols")
-        wx = w8
-        wy = reparity(staggered_companion(w8), w8.parity)
-        lut_x = _lut(_uniform_lax(wx).matrix)
-        lut_y = _lut(_uniform_lax(wy).matrix)
+        lut_x, lut_y = (_lut(m4) for m4 in _sublattice_lax(w8))
     else:
         lut_x = lut_y = _lut(_uniform_lax(w8).matrix)
 

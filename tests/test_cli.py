@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import vertex_sheaf
 from vertex_sheaf.cli import DEFAULT_THRESHOLDS, main
 
 
@@ -65,6 +68,15 @@ class TestYbe:
         assert code == 1
         assert rep["records"][0]["residual"] > 1e-3
         assert rep["pass"] is False
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tol_must_be_finite_and_positive(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["ybe", "--mu1", "0.2", "--mu2", "0.3", "--tol", tol])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err
 
     def test_bad_parities_usage_error(self, capsys):
         code, rep = run_cli(capsys, "ybe", "--mu1", "0.2", "--mu2", "0.3",
@@ -144,6 +156,13 @@ class TestPartition:
         assert "NaN" not in out
         rep = json.loads(out)
         assert "non-finite" in rep["error"] and "trace" in rep["error"]
+
+
+    def test_staggered_trace_limit_is_the_chain_guard(self, capsys):
+        code, rep = run_cli(capsys, "partition", "--model", "odd", "--rows", "2",
+                            "--cols", "14", "--staggered", "--backend", "trace")
+        assert code == 2
+        assert "chain length 14" in rep["error"]
 
 
 class TestWuKunz:
@@ -227,6 +246,18 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_usage_error_between_runs_leaves_output_unchanged(self, capsys):
+        # one process, one parser: a rejected argv must not disturb the next run
+        argv = ["ybe", "--mu1", "0.2", "--mu2", "0.3"]
+        assert main(list(argv)) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["param", "--k", "0.5", "--lam", "0.7", "--mu", "0.3", "--tol", "1e-3"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out == first
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code = main(["param", "--k", "0.5", "--lam", "0.7", "--mu", "0.3",
@@ -237,11 +268,16 @@ class TestDeterminism:
 
 
 def test_module_entry_point():
+    # the child process imports the same package this suite imported
+    src = str(Path(vertex_sheaf.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "vertex_sheaf", "param",
          "--k", "0.5", "--lam", "0.7", "--mu", "0.3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)

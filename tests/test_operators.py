@@ -15,7 +15,6 @@ from vertex_sheaf.operators import (
     functional_residuals,
     lax_asym_even,
     lax_asym_odd,
-    lax_asym_odd_companion,
     lax_even,
     lax_odd,
     matches_pattern,
@@ -27,6 +26,7 @@ from vertex_sheaf.operators import (
     solve_intertwiner,
     yang_baxter_residual,
 )
+from vertex_sheaf.transfer import _sublattice_lax
 from vertex_sheaf.weights import (
     Parity,
     WeightsEight,
@@ -106,8 +106,9 @@ class TestLaxAsymOdd:
 
     def test_entry_placements(self):
         w8 = WeightsEight((1, 2, 3, 4, 5, 6, 7, 8), OD)
+        _, companion = _sublattice_lax(w8)
         assert lax_asym_odd(w8).matrix[2, 0] == 5
-        assert lax_asym_odd_companion(w8).matrix[2, 0] == 8
+        assert companion[2, 0] == 8
 
     def test_companion_is_plain_at_permuted_weights(self):
         w8 = WeightsEight((1, 2, 3, 4, 5, 6, 7, 8), OD)
@@ -116,9 +117,9 @@ class TestLaxAsymOdd:
         companion_weights = staggered_companion(w8)
         # reading the permuted vector back as odd weights
         reread = WeightsEight(companion_weights.w, OD)
-        assert linalg.max_abs(
-            lax_asym_odd_companion(w8).matrix - lax_asym_odd(reread).matrix
-        ) == 0.0
+        plain, companion = _sublattice_lax(w8)
+        assert linalg.max_abs(plain - lax_asym_odd(w8).matrix) == 0.0
+        assert linalg.max_abs(companion - lax_asym_odd(reread).matrix) == 0.0
 
     def test_parity_guard(self):
         with pytest.raises(ValueError, match="odd"):
@@ -143,6 +144,25 @@ class TestLaxAsymEven:
     def test_parity_guard(self):
         with pytest.raises(ValueError, match="even"):
             lax_asym_even(WeightsEight((1,) * 8, OD))
+
+
+W8 = (1, 2, 3, 4, 5, 6, 7, 8)
+
+
+@pytest.mark.parametrize("build,literal", [
+    (lambda: lax_asym_odd(WeightsEight(W8, OD)).matrix,
+     [[0, 1, 7, 0], [3, 0, 0, 6], [5, 0, 0, 4], [0, 8, 2, 0]]),
+    (lambda: lax_asym_even(WeightsEight(W8, EV)).matrix,
+     [[1, 0, 0, 7], [0, 3, 6, 0], [0, 5, 4, 0], [8, 0, 0, 2]]),
+    # sublattice Y of the odd staggered row: the companion weights
+    (lambda: _sublattice_lax(WeightsEight(W8, OD))[1],
+     [[0, 3, 6, 0], [1, 0, 0, 7], [8, 0, 0, 2], [0, 5, 4, 0]]),
+], ids=["asym-odd", "asym-even", "odd-sublattice-y"])
+def test_vertex_dictionary_against_hand_written_matrices(build, literal):
+    # an independent route to the slot table shared by every constructor
+    m = build()
+    assert m.dtype == complex
+    assert np.array_equal(m, np.array(literal, dtype=complex))
 
 
 class TestRSheaf:
