@@ -18,7 +18,7 @@ from .elliptic import (
     theta_h,
     theta_t,
 )
-from .linalg import commutator_norm, kron, kron_chain, max_abs, null_space
+from .linalg import commutator_norm, kron_chain, max_abs, null_space
 from .operators import (
     LaxOperator,
     lax_asym_even,

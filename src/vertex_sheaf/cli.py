@@ -303,7 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, help, threshold=None):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--pretty", action="store_true", help="indent the JSON output")
         p.add_argument("--output", help="write the report to a file instead of stdout")
         if threshold is not None:
             p.add_argument("--tol", type=positive_float,
@@ -377,7 +376,7 @@ def main(argv=None) -> int:
     except (GuardError, UndefinedInvariantError, ValueError) as exc:
         report, ok, code = {"command": args.command, "error": str(exc)}, False, 2
     report["pass"] = bool(ok)
-    text = json.dumps(report, indent=2 if args.pretty else None, allow_nan=False)
+    text = json.dumps(report, allow_nan=False)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -12,7 +12,6 @@ import numpy as np
 __all__ = [
     "as_matrix",
     "max_abs",
-    "kron",
     "kron_chain",
     "commutator_norm",
     "rel_commutator_norm",
@@ -39,11 +38,6 @@ def max_abs(a: np.ndarray) -> float:
     """Max-absolute-entry norm, the residual norm used throughout."""
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; entry ((i*dimB+k),(j*dimB+l)) = A[i,j]*B[k,l]."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def kron_chain(mats) -> np.ndarray:

@@ -39,7 +39,6 @@ from .weights import Parity, WeightsEight, WeightsSym, ev_od_swap
 
 __all__ = [
     "SIGMA_X",
-    "IDENTITY_2",
     "LaxOperator",
     "SLOTS",
     "vertex_matrix",
@@ -60,7 +59,6 @@ __all__ = [
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 #: the vertex dictionary: where w1..w8 sit in each sparsity class,
 #:   even [[w1,0,0,w7],[0,w3,w6,0],[0,w5,w4,0],[w8,0,0,w2]]

@@ -70,7 +70,6 @@ class TransferMatrix:
 
     matrix: np.ndarray
     sites: int
-    kind: str
 
     def __post_init__(self):
         m = linalg.as_matrix(self.matrix)
@@ -127,7 +126,7 @@ def _check_sites(sites: int):
 def transfer_matrix(lax: LaxOperator, sites: int) -> TransferMatrix:
     """Trace of the ordered product of one Lax operator along a row."""
     _check_sites(sites)
-    return TransferMatrix(_trace_blocks([lax.matrix] * sites), sites, lax.kind)
+    return TransferMatrix(_trace_blocks([lax.matrix] * sites), sites)
 
 
 def transfer_family(lax: LaxOperator, max_sites: int) -> list[TransferMatrix]:
@@ -138,7 +137,7 @@ def transfer_family(lax: LaxOperator, max_sites: int) -> list[TransferMatrix]:
     """
     _check_sites(max_sites)
     return [
-        TransferMatrix(acc[0][0] + acc[1][1], sites, lax.kind)
+        TransferMatrix(acc[0][0] + acc[1][1], sites)
         for sites, acc in enumerate(_block_prefixes([lax.matrix] * max_sites), 1)
     ]
 
@@ -173,8 +172,8 @@ def staggered_transfer_pair(
     lx, ly = _sublattice_lax(w8)
     sites = 2 * pairs
     return (
-        TransferMatrix(_trace_blocks([lx, ly] * pairs), sites, "staggered-1"),
-        TransferMatrix(_trace_blocks([ly, lx] * pairs), sites, "staggered-2"),
+        TransferMatrix(_trace_blocks([lx, ly] * pairs), sites),
+        TransferMatrix(_trace_blocks([ly, lx] * pairs), sites),
     )
 
 
@@ -192,8 +191,6 @@ def partition_trace(
         t1, t2 = staggered_transfer_pair(w8, lattice.cols // 2)
         step = t1.matrix @ t2.matrix
         return complex(np.trace(np.linalg.matrix_power(step, lattice.rows // 2)))
-    if lattice.cols > MAX_SITES:
-        raise ValueError(f"trace backend limited to cols <= {MAX_SITES}")
     t = transfer_matrix(_uniform_lax(w8), lattice.cols)
     return complex(np.trace(np.linalg.matrix_power(t.matrix, lattice.rows)))
 

@@ -11,6 +11,7 @@ weight points sharing the free-fermion/Krinsky manifold.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "sample_krinsky_pair",
     "reparity",
     "weights_to_json",
-    "weights_from_json",
 ]
 
 
@@ -180,52 +180,20 @@ def ev_od_swap(ws: WeightsSym) -> WeightsSym:
     return WeightsSym(ws.c, ws.d, ws.a, ws.b, ws.parity.flipped)
 
 
-def _newton_solve(func, x0: np.ndarray, scale: float, max_iter: int = 100):
-    """Damped Newton with central-difference Jacobian.
-
-    Returns the solution or None.  Step halving keeps the residual norm
-    decreasing; convergence is 1e-13 relative to the equation scale.
-    """
-    x = x0.copy()
-    n = x.size
-    for _ in range(max_iter):
-        fx = func(x)
-        if np.max(np.abs(fx)) < 1e-13 * scale:
-            return x
-        jac = np.zeros((n, n))
-        h = 1e-7 * max(1.0, float(np.max(np.abs(x))))
-        for j in range(n):
-            xp = x.copy()
-            xm = x.copy()
-            xp[j] += h
-            xm[j] -= h
-            jac[:, j] = (func(xp) - func(xm)) / (2.0 * h)
-        try:
-            step = np.linalg.solve(jac, -fx)
-        except np.linalg.LinAlgError:
-            return None
-        norm0 = np.linalg.norm(fx)
-        t = 1.0
-        while t > 1e-8:
-            if np.linalg.norm(func(x + t * step)) < norm0:
-                break
-            t *= 0.5
-        else:
-            return None
-        x = x + t * step
-    fx = func(x)
-    return x if np.max(np.abs(fx)) < 1e-13 * scale else None
-
-
 def sample_krinsky_pair(seed: int) -> tuple[WeightsEight, WeightsEight]:
     """Two distinct odd weight vectors sharing the free-fermion/Krinsky manifold.
 
     The first point is drawn at random and projected onto the free-fermion
-    quadric by solving for w8.  Its three Krinsky ratios are then imposed
-    on a second random point: w5, w7 and w6 are free, w8 follows from the
-    first ratio, one of the remaining weights is pinned, and the last
-    three are found by damped Newton (numerical Jacobian, 100-iteration
-    cap, 20 random restarts).  Deterministic for a fixed seed.
+    quadric by solving for w8.  Its ratios (d1, d2, d3) are imposed on a
+    second point in closed form: draw w1, w5, w6, w7, set w8 = d1*w5*w7/w6,
+    and with s = w5*w6 + w7*w8, p = d2*w5*w7, q = d3*w5*w7 the remaining
+    equations (the free-fermion quadric and the last two ratios) become
+    AB = s + p, CD = s - p, AC - BD = q in A = w1 + w3, B = w2 + w4,
+    C = w1 - w3, D = w2 - w4.  So X = AC solves X^2 - qX - (s^2 - p^2) = 0,
+    w3 = sqrt(w1^2 - X), C = X/A, B = (s + p)/A and D = (s - p)/C.  Of the
+    nonzero real roots with X <= w1^2 the larger in magnitude is taken (it
+    keeps D small); a draw with none is redrawn.  Both constraints are
+    re-checked from the returned weights.  Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     for _ in range(50):
@@ -244,23 +212,19 @@ def sample_krinsky_pair(seed: int) -> tuple[WeightsEight, WeightsEight]:
             s = w5 * w6 + w7 * w8
             p = d2 * w5 * w7
             q = d3 * w5 * w7
-            scale = max(1.0, abs(s), abs(p), abs(q))
-
-            def equations(x, w1=w1, s=s, p=p, q=q):
-                w2, w3, w4 = x
-                return np.array(
-                    [
-                        w1 * w2 + w3 * w4 - s,
-                        w1 * w4 + w2 * w3 - p,
-                        w1 * w1 + w4 * w4 - w2 * w2 - w3 * w3 - q,
-                    ]
-                )
-
-            x = _newton_solve(equations, rng.uniform(0.2, 1.5, size=3), scale)
-            if x is None:
+            disc = q * q + 4.0 * (s * s - p * p)
+            if disc < 0.0:
                 continue
+            r = math.sqrt(disc)
+            roots = [x for x in ((q + r) / 2.0, (q - r) / 2.0) if x != 0.0 and x <= w1 * w1]
+            if not roots:
+                continue
+            x = max(roots, key=abs)
+            w3 = math.sqrt(w1 * w1 - x)
+            a = w1 + w3
+            b, d = (s + p) / a, (s - p) / (x / a)
             second = WeightsEight(
-                (w1, x[0], x[1], x[2], w5, w6, w7, w8), Parity.ODD
+                (w1, (b + d) / 2.0, w3, (b - d) / 2.0, w5, w6, w7, w8), Parity.ODD
             )
             if np.max(np.abs(second.as_array() - first.as_array())) < 1e-3:
                 continue
@@ -270,7 +234,7 @@ def sample_krinsky_pair(seed: int) -> tuple[WeightsEight, WeightsEight]:
             if np.max(np.abs(got - np.array([d1, d2, d3]))) > 1e-9:
                 continue
             return first, second
-    raise RuntimeError("krinsky pair sampler: root finder budget exhausted")
+    raise RuntimeError("krinsky pair sampler: draw budget exhausted")
 
 
 def manifold_report(w8: WeightsEight) -> ManifoldReport:
@@ -289,10 +253,6 @@ def manifold_report(w8: WeightsEight) -> ManifoldReport:
 def weights_to_json(w8: WeightsEight) -> dict:
     """Wire format shared with the CLI: 8 numbers plus a parity string."""
     return {"w": list(w8.w), "parity": w8.parity.value}
-
-
-def weights_from_json(obj: dict) -> WeightsEight:
-    return WeightsEight(tuple(obj["w"]), Parity(obj["parity"]))
 
 
 def reparity(w8: WeightsEight, parity: Parity) -> WeightsEight:

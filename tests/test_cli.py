@@ -159,10 +159,12 @@ class TestPartition:
 
 
     def test_staggered_trace_limit_is_the_chain_guard(self, capsys):
-        code, rep = run_cli(capsys, "partition", "--model", "odd", "--rows", "2",
-                            "--cols", "14", "--staggered", "--backend", "trace")
-        assert code == 2
-        assert "chain length 14" in rep["error"]
+        # both trace paths are limited by the transfer-matrix chain guards alone
+        for cols, extra in (("14", ("--staggered",)), ("13", ())):
+            code, rep = run_cli(capsys, "partition", "--model", "odd", "--rows", "2",
+                                "--cols", cols, *extra, "--backend", "trace")
+            assert code == 2
+            assert f"chain length {cols}" in rep["error"]
 
 
 class TestWuKunz:
