@@ -131,6 +131,13 @@ class TestCommute:
         assert code == 2
         assert "at least one point" in rep["error"]
 
+    def test_scan_byte_guard(self, capsys):
+        # ten dense 12-site matrices, 2.5 GiB: rejected before any is built
+        code, rep = run_cli(capsys, "commute", "--sites", "12",
+                            "--mus", "0.1,0.2,0.3,0.4,0.5", "--kinds", "even,odd")
+        assert code == 2
+        assert str(10 * 16 * 4**12) in rep["error"]
+
 
 class TestPartition:
     def test_odd_three_by_three_is_zero(self, capsys):

@@ -1,9 +1,12 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vertex_sheaf import linalg
 from vertex_sheaf.elliptic import EllipticPoint, ThetaParams, baxter_weights
-from vertex_sheaf.operators import lax_asym_odd, lax_even, lax_odd
+from vertex_sheaf.operators import lax_asym_even, lax_asym_odd, lax_even, lax_odd
 from vertex_sheaf.transfer import (
     LatticeSpec,
     commutation_scan,
@@ -19,7 +22,9 @@ from vertex_sheaf.weights import (
     Parity,
     WeightsEight,
     WeightsSym,
+    reparity,
     sample_krinsky_pair,
+    staggered_companion,
     to_eight,
 )
 
@@ -40,6 +45,21 @@ def random_sym(rng, parity=EV) -> WeightsSym:
 
 def random_eight(rng, parity) -> WeightsEight:
     return WeightsEight(tuple(rng.uniform(0.2, 1.4, size=8)), parity)
+
+
+def row_transfer_by_definition(mats: list[np.ndarray]) -> np.ndarray:
+    """T[(i1..in),(j1..jn)] = sum over auxiliary strings a of
+    prod_k m_k[2 a_k + i_k, 2 a_(k+1) + j_k], with a_(n+1) = a_1."""
+    n = len(mats)
+    t = np.zeros((2**n, 2**n), dtype=complex)
+    for i in itertools.product((0, 1), repeat=n):
+        for j in itertools.product((0, 1), repeat=n):
+            for a in itertools.product((0, 1), repeat=n):
+                term = 1.0 + 0.0j
+                for k, m in enumerate(mats):
+                    term *= m[2 * a[k] + i[k], 2 * a[(k + 1) % n] + j[k]]
+                t[int("".join(map(str, i)), 2), int("".join(map(str, j)), 2)] += term
+    return t
 
 
 def cyclic_shift(sites: int) -> np.ndarray:
@@ -91,6 +111,31 @@ class TestTransferMatrix:
     def test_site_guard(self, rng):
         with pytest.raises(ValueError, match="chain length"):
             transfer_matrix(lax_even(random_sym(rng)), 13)
+
+    @pytest.mark.parametrize("parity", [EV, OD])
+    def test_entries_match_the_sum_over_auxiliary_strings(self, parity, rng):
+        w8 = random_eight(rng, parity)
+        lax = lax_asym_odd if parity is OD else lax_asym_even
+        lx = lax(w8).matrix
+        ly = lax(reparity(staggered_companion(w8), parity)).matrix
+        t1, t2 = staggered_transfer_pair(w8, 2)
+        for built, mats in (
+            (transfer_matrix(lax(w8), 3).matrix, [lx] * 3),
+            (t1.matrix, [lx, ly, lx, ly]),
+            (t2.matrix, [ly, lx, ly, lx]),
+        ):
+            ref = row_transfer_by_definition(mats)
+            assert linalg.max_abs(built - ref) <= 1e-14 * linalg.max_abs(ref)
+
+    def test_build_peak_memory_is_a_few_results(self, rng):
+        lax = lax_odd(random_sym(rng))
+        tracemalloc.start()
+        try:
+            t = transfer_matrix(lax, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * t.matrix.nbytes
 
 
 class TestSigmaXString:
