@@ -2,9 +2,11 @@
 
 Two independent partition-function backends share one vertex dictionary
 (``operators.SLOTS``, read through the Lax constructors): a trace
-backend that contracts the Lax tensor of each vertex matrix along a row
-and traces the auxiliary legs, and an exhaustive enumeration backend that
-sums the weight of every arrow configuration on a small torus.
+backend that contracts the Lax tensor of each vertex matrix along the
+shorter side of the torus, traces the auxiliary legs, and sums the
+trace of the row power over the momentum blocks of the cyclic shift;
+and an exhaustive enumeration backend that sums the weight of every
+arrow configuration on a small torus.
 Agreement between the two validates both; disagreement would expose a
 convention error immediately.
 
@@ -18,6 +20,7 @@ up/right = index 0 conventions inherited from the operator module.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +64,7 @@ __all__ = [
 MAX_SITES = 12
 #: enumeration guard: 2 * rows * cols edges, at most 2^24 configurations
 MAX_ENUM_EDGES = 24
-#: memory guard: dense transfer matrices one commutation scan may keep (2 GiB)
+#: memory guard: dense matrices one commutation scan may hold at once (2 GiB)
 MAX_SCAN_BYTES = 2**31
 #: chunk of configurations processed per vectorized enumeration pass
 _ENUM_CHUNK = 1 << 20
@@ -149,6 +152,15 @@ def _sublattice_lax(w8: WeightsEight) -> tuple[np.ndarray, np.ndarray]:
     return _uniform_lax(w8).matrix, _uniform_lax(companion).matrix
 
 
+def _staggered_rows(
+    lx: np.ndarray, ly: np.ndarray, pairs: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows alternating lx, ly (T1) and ly, lx (T2) over 2*pairs sites."""
+    if pairs < 1 or 2 * pairs > MAX_SITES:
+        raise ValueError(f"staggered chain length {2 * pairs} outside 2..{MAX_SITES}")
+    return _row_transfer([lx, ly] * pairs), _row_transfer([ly, lx] * pairs)
+
+
 def staggered_transfer_pair(
     w8: WeightsEight, pairs: int
 ) -> tuple[TransferMatrix, TransferMatrix]:
@@ -158,14 +170,68 @@ def staggered_transfer_pair(
     T2 starts from the companion; the sublattice-Y weights are the
     companion permutation of the input, as in the staggered equivalences.
     """
-    if pairs < 1 or 2 * pairs > MAX_SITES:
-        raise ValueError(f"staggered chain length {2 * pairs} outside 2..{MAX_SITES}")
-    lx, ly = _sublattice_lax(w8)
-    sites = 2 * pairs
-    return (
-        TransferMatrix(_row_transfer([lx, ly] * pairs), sites),
-        TransferMatrix(_row_transfer([ly, lx] * pairs), sites),
-    )
+    t1, t2 = _staggered_rows(*_sublattice_lax(w8), pairs)
+    return TransferMatrix(t1, 2 * pairs), TransferMatrix(t2, 2 * pairs)
+
+
+#: SWAP on the two legs of a vertex: m[_SWAP][:, _SWAP] is S m S
+_SWAP = [0, 2, 1, 3]
+
+
+@functools.cache
+def _shift_orbits(sites: int, period: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the cyclic shift P by ``period`` sites on the 2^sites basis.
+
+    Returns ``images`` (orbits x L, L = sites / period), whose row a holds
+    P^t r_a for t = 0..L-1 starting from the smallest state r_a of the
+    orbit, and ``weight`` (L x orbits), the entry [k, a] being
+    sqrt(d_a / L) where the orbit carries momentum k (k d_a = 0 mod L)
+    and exactly 0 where it does not; d_a is the orbit size, a divisor of
+    L.  Both are small next to a 2^sites matrix and read-only, since
+    every caller shares them.
+    """
+    length = sites // period
+    states = np.arange(2**sites)
+    images = np.empty((2**sites, length), dtype=np.intp)
+    images[:, 0] = states
+    for t in range(1, length):
+        prev = images[:, t - 1]
+        images[:, t] = ((prev << period) | (prev >> (sites - period))) & (2**sites - 1)
+    images = images[images.min(axis=1) == states]
+    sizes = length // (images == images[:, :1]).sum(axis=1)
+    k = np.arange(length)[:, None]
+    weight = np.where(k * sizes % length == 0, np.sqrt(sizes / length), 0.0)
+    images.flags.writeable = weight.flags.writeable = False
+    return images, weight
+
+
+def _shift_trace(factors, sites: int, period: int, power: int) -> complex:
+    """Tr((F1 F2 ...)^power) for dense factors that commute with P^period.
+
+    P is the cyclic shift of the chain, P^L = 1 with L = sites / period.
+    With r_a the representative and d_a the size of orbit a, the states
+    |a, k> = (sqrt(d_a) / L) sum_t exp(-2 pi i k t / L) P^t |r_a>
+    are orthonormal; they exist only where k d_a = 0 mod L (otherwise
+    the sum of phases cancels over each period of the orbit), and for
+    each k = 0..L-1 they span the momentum-k eigenspace of P.  A factor
+    F that commutes with P keeps k and has the block
+    <a, k|F|b, k> = sqrt(d_a d_b) / L * sum_t exp(-2 pi i k t / L) F[r_a, P^t r_b],
+    one FFT over t of the gathered entries.  The sum over t repeats with
+    period d_a and with period d_b, so where either orbit does not carry
+    k the entry is an exact cancellation that the FFT only reaches to
+    rounding: the zero weight restores the exact 0, and the missing
+    states become zero rows and columns that no power or trace sees.
+    The trace is then the sum over k of the block traces, from one
+    batched matrix power of the L products of blocks.
+    """
+    images, weight = _shift_orbits(sites, period)
+    step = None
+    for f in factors:
+        gathered = f[images[:, None, :1], images[None, :, :]]
+        blocks = np.fft.fft(gathered, axis=2).transpose(2, 0, 1)
+        blocks *= weight[:, :, None] * weight[:, None, :]
+        step = blocks if step is None else step @ blocks
+    return complex(np.linalg.matrix_power(step, power).diagonal(axis1=1, axis2=2).sum())
 
 
 def partition_trace(
@@ -174,16 +240,25 @@ def partition_trace(
     """Torus partition function via powers of the row transfer matrix.
 
     Uniform model: trace of T^rows.  Staggered model (rows and cols
-    even): trace of (T1 T2)^(rows/2).
+    even): trace of (T1 T2)^(rows/2).  The row runs along the shorter
+    side: a torus with fewer rows than cols is transposed, which swaps
+    left with bottom and right with top at every vertex (each vertex
+    matrix conjugated by SWAP) and keeps the (r + c) checkerboard.  The
+    trace is summed over the momentum blocks of the cyclic shift
+    (``_shift_trace``), by one site for uniform rows and by two for
+    staggered rows, so no dense power is formed.
     """
+    rows, cols = lattice.rows, lattice.cols
+    if staggered and (rows % 2 or cols % 2):
+        raise ValueError("staggered tori need even rows and cols")
+    mats = _sublattice_lax(w8) if staggered else (_uniform_lax(w8).matrix,)
+    if rows < cols:
+        rows, cols = cols, rows
+        mats = tuple(m[_SWAP][:, _SWAP] for m in mats)
     if staggered:
-        if lattice.rows % 2 or lattice.cols % 2:
-            raise ValueError("staggered tori need even rows and cols")
-        t1, t2 = staggered_transfer_pair(w8, lattice.cols // 2)
-        step = t1.matrix @ t2.matrix
-        return complex(np.trace(np.linalg.matrix_power(step, lattice.rows // 2)))
-    t = transfer_matrix(_uniform_lax(w8), lattice.cols)
-    return complex(np.trace(np.linalg.matrix_power(t.matrix, lattice.rows)))
+        return _shift_trace(_staggered_rows(*mats, cols // 2), cols, 2, rows // 2)
+    _check_sites(cols)
+    return _shift_trace([_row_transfer([mats[0]] * cols)], cols, 1, rows)
 
 
 def _lut(m4: np.ndarray) -> np.ndarray:
@@ -313,6 +388,18 @@ def _transfer_of_kind(point, kind: str, sites: int) -> np.ndarray:
     raise ValueError(f"unknown transfer kind {kind!r}")
 
 
+def _scan_bytes(points: int, sites: int, kinds: tuple[str, str]) -> int:
+    """Bytes of dense matrices a commutation scan may hold, counted as if at once.
+
+    The kept transfer matrices (one list, or two when the kinds differ),
+    the last build's working set of three matrices, the two commutator
+    products, and for staggered kinds T1, T2 and their product.
+    """
+    kept = points * (1 if kinds[1] == kinds[0] else 2)
+    pair = 3 if any(kind in _STAGGERED_KINDS for kind in kinds) else 0
+    return (kept + 3 + 2 + pair) * 16 * 4**sites
+
+
 def commutation_scan(
     points: list, sites: int, kinds: tuple[str, str]
 ) -> np.ndarray:
@@ -324,12 +411,11 @@ def commutation_scan(
     """
     if not points:
         raise ValueError("commutation scan needs at least one point")
-    kept = len(points) * (1 if kinds[1] == kinds[0] else 2)
-    nbytes = kept * 16 * 4**sites
+    nbytes = _scan_bytes(len(points), sites, kinds)
     if nbytes > MAX_SCAN_BYTES:
         raise ValueError(
-            f"commutation scan would keep {kept} dense {sites}-site transfer matrices, "
-            f"{nbytes} bytes, above the {MAX_SCAN_BYTES}-byte limit"
+            f"commutation scan would hold {nbytes // (16 * 4**sites)} dense "
+            f"{sites}-site matrices, {nbytes} bytes, above the {MAX_SCAN_BYTES}-byte limit"
         )
     first = [_transfer_of_kind(p, kinds[0], sites) for p in points]
     second = (

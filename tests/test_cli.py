@@ -132,11 +132,12 @@ class TestCommute:
         assert "at least one point" in rep["error"]
 
     def test_scan_byte_guard(self, capsys):
-        # ten dense 12-site matrices, 2.5 GiB: rejected before any is built
+        # ten kept dense 12-site matrices plus five transients, 3.75 GiB:
+        # rejected before any is built
         code, rep = run_cli(capsys, "commute", "--sites", "12",
                             "--mus", "0.1,0.2,0.3,0.4,0.5", "--kinds", "even,odd")
         assert code == 2
-        assert str(10 * 16 * 4**12) in rep["error"]
+        assert str(15 * 16 * 4**12) in rep["error"]
 
 
 class TestPartition:
@@ -166,12 +167,22 @@ class TestPartition:
 
 
     def test_staggered_trace_limit_is_the_chain_guard(self, capsys):
-        # both trace paths are limited by the transfer-matrix chain guards alone
+        # both trace paths are limited by the transfer-matrix chain guards alone;
+        # the row runs along the shorter side, so only a square torus reaches them
+        for size, extra in (("14", ("--staggered",)), ("13", ())):
+            code, rep = run_cli(capsys, "partition", "--model", "odd", "--rows", size,
+                                "--cols", size, *extra, "--backend", "trace")
+            assert code == 2
+            assert f"chain length {size}" in rep["error"]
+
+    def test_long_thin_trace_builds_the_short_side(self, capsys):
         for cols, extra in (("14", ("--staggered",)), ("13", ())):
             code, rep = run_cli(capsys, "partition", "--model", "odd", "--rows", "2",
                                 "--cols", cols, *extra, "--backend", "trace")
-            assert code == 2
-            assert f"chain length {cols}" in rep["error"]
+            assert code == 0
+            re, im = rep["trace"]
+            assert re > 0.0
+            assert abs(im) <= 1e-12 * re
 
 
 class TestWuKunz:

@@ -9,6 +9,8 @@ from vertex_sheaf.elliptic import EllipticPoint, ThetaParams, baxter_weights
 from vertex_sheaf.operators import lax_asym_even, lax_asym_odd, lax_even, lax_odd
 from vertex_sheaf.transfer import (
     LatticeSpec,
+    _scan_bytes,
+    _shift_orbits,
     commutation_scan,
     partition_enumerate,
     partition_trace,
@@ -263,6 +265,46 @@ class TestPartitionFunctions:
             ze = partition_enumerate(w8, lattice, staggered=True)
             assert abs(zt - ze) < 1e-11 * max(abs(zt), 1.0)
 
+    @pytest.mark.parametrize("staggered", [False, True])
+    @pytest.mark.parametrize("parity", [EV, OD])
+    def test_trace_matches_the_dense_power(self, parity, staggered, rng):
+        # every torus with both sides <= 6 in both orientations, against the
+        # dense power of the row transfer matrix built along the columns
+        sides = (2, 4, 6) if staggered else range(1, 7)
+        lax = lax_asym_odd if parity is OD else lax_asym_even
+        for rows, cols in itertools.product(sides, repeat=2):
+            w8 = random_eight(rng, parity)
+            z = partition_trace(w8, LatticeSpec(rows, cols), staggered=staggered)
+            if staggered:
+                t1, t2 = staggered_transfer_pair(w8, cols // 2)
+                t, power = t1.matrix @ t2.matrix, rows // 2
+            else:
+                t, power = transfer_matrix(lax(w8), cols).matrix, rows
+            ref = complex(np.trace(np.linalg.matrix_power(t, power)))
+            if parity is OD and rows % 2 and cols % 2:
+                scale = linalg.max_abs(t) ** rows * 2**cols
+                assert abs(z) < 1e-12 * scale, (rows, cols, z)
+                continue
+            assert abs(z - ref) <= 1e-12 * abs(ref), (rows, cols, z, ref)
+            assert abs(z.imag) <= 1e-12 * abs(z), (rows, cols, z)
+
+    @pytest.mark.parametrize("rows,cols", [(1, 3), (3, 5), (5, 3), (3, 7)])
+    def test_odd_by_odd_trace_is_exactly_zero(self, rows, cols, rng):
+        # T_odd maps each sigma^z-string sector to the other on an odd chain,
+        # a structure the momentum blocks and their odd powers keep exactly
+        assert partition_trace(random_eight(rng, OD), LatticeSpec(rows, cols)) == 0.0
+
+    @pytest.mark.parametrize("sites,period", [(1, 1), (4, 2), (6, 1), (6, 2), (7, 1)])
+    def test_shift_orbits_cover_every_momentum_state(self, sites, period):
+        images, weight = _shift_orbits(sites, period)
+        length = sites // period
+        assert images.shape[1] == length
+        assert sorted(np.unique(images)) == list(range(2**sites))
+        # the momentum states number 2^sites, one per basis state
+        assert np.count_nonzero(weight) == 2**sites
+        assert _shift_orbits(sites, period) is _shift_orbits(sites, period)
+        assert not images.flags.writeable and not weight.flags.writeable
+
     def test_enumeration_guard(self, rng):
         with pytest.raises(ValueError, match="enumeration"):
             partition_enumerate(random_eight(rng, EV), LatticeSpec(4, 4))
@@ -290,6 +332,13 @@ class TestWuKunz:
         w8 = random_eight(rng, parity)
         rep = wu_kunz_check(w8, LatticeSpec(4, 4), backend="trace")
         assert rep.rel_diff < 1e-10
+
+    @pytest.mark.parametrize("shape", [(4, 12), (12, 4)])
+    @pytest.mark.parametrize("parity", [OD, EV])
+    def test_trace_backend_twelve_columns(self, parity, shape, rng):
+        w8 = random_eight(rng, parity)
+        rep = wu_kunz_check(w8, LatticeSpec(*shape), backend="trace")
+        assert rep.rel_diff < 1e-11
 
     def test_report_serialization(self, rng):
         rep = wu_kunz_check(random_eight(rng, OD), LatticeSpec(2, 2))
@@ -324,6 +373,17 @@ class TestCommutationScan:
         assert norms.max() < 1e-9
         cross = commutation_scan([first, second], 4, ("stag1", "stag2"))
         assert cross[0, 1] > 1e-3
+
+    @pytest.mark.parametrize("kinds", [("even", "odd"), ("stagprod", "stagprod")])
+    def test_byte_count_bounds_the_peak(self, kinds):
+        points = [elliptic_weights(mu) for mu in (0.1, 0.3, 0.5)]
+        tracemalloc.start()
+        try:
+            commutation_scan(points, 10, kinds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _scan_bytes(len(points), 10, kinds) >= peak
 
     def test_kind_validation(self, rng):
         with pytest.raises(ValueError, match="unknown transfer kind"):
