@@ -189,7 +189,7 @@ def test_criterion_4_intertwiner_discovery():
 
 
 def test_criterion_5_staggered_equivalences():
-    # enumeration on 2x2 (asymmetric + symmetric forms), trace on 4x4
+    # enumeration on 2x2 (asymmetric + symmetric forms) and 4x4, trace on 4x4
     t0 = time.perf_counter()
     budget, enum_tol, trace_tol = 60.0, 1e-12, 1e-10
     rng = np.random.default_rng(105)
@@ -210,13 +210,19 @@ def test_criterion_5_staggered_equivalences():
             worst_trace = max(
                 worst_trace, wu_kunz_check(w8, lattice4, backend="trace").rel_diff
             )
+    worst_enum4 = 0.0
+    for parity in (OD, EV):
+        for _ in range(3):
+            w8 = WeightsEight(tuple(rng.uniform(0.2, 1.4, size=8)), parity)
+            worst_enum4 = max(worst_enum4, wu_kunz_check(w8, lattice4).rel_diff)
     elapsed = time.perf_counter() - t0
     _report(
         5,
         "staggered equivalences",
-        worst_enum < enum_tol and worst_trace < trace_tol and elapsed < budget,
+        max(worst_enum, worst_enum4) < enum_tol and worst_trace < trace_tol
+        and elapsed < budget,
         f"enumeration 2x2 worst {worst_enum:.2e} (80 draws), "
-        f"trace 4x4 worst {worst_trace:.2e}",
+        f"4x4 worst {worst_enum4:.2e} (6 draws), trace 4x4 worst {worst_trace:.2e}",
         elapsed,
     )
 

@@ -175,6 +175,12 @@ class TestPartition:
             assert code == 2
             assert f"chain length {size}" in rep["error"]
 
+    def test_enumeration_limit_is_thirty_two_edges(self, capsys):
+        code, rep = run_cli(capsys, "partition", "--model", "even", "--rows", "4",
+                            "--cols", "5", "--backend", "enumerate")
+        assert code == 2
+        assert "32 edges, got 40" in rep["error"]
+
     def test_long_thin_trace_builds_the_short_side(self, capsys):
         for cols, extra in (("14", ("--staggered",)), ("13", ())):
             code, rep = run_cli(capsys, "partition", "--model", "odd", "--rows", "2",

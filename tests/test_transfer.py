@@ -64,6 +64,35 @@ def row_transfer_by_definition(mats: list[np.ndarray]) -> np.ndarray:
     return t
 
 
+def enumerate_by_definition(w8: WeightsEight, lattice: LatticeSpec, staggered=False) -> complex:
+    """Sum over all 2^(2 rows cols) edge states, one configuration at a time.
+
+    Vertex (r, c) owns bit 2 (r cols + c), its left edge, and the next
+    bit, its bottom edge; it weighs m[2 left + bottom, 2 right + top],
+    with the companion weights on the odd sublattice of a staggered torus.
+    """
+    rows, cols = lattice.rows, lattice.cols
+    lax = lax_asym_odd if w8.parity is OD else lax_asym_even
+    mx = lax(w8).matrix.tolist()
+    my = lax(reparity(staggered_companion(w8), w8.parity)).matrix.tolist() if staggered else mx
+    vertices = []
+    for r in range(rows):
+        for c in range(cols):
+            left = 2 * (r * cols + c)
+            right = 2 * (r * cols + (c + 1) % cols)
+            top = 2 * (((r + 1) % rows) * cols + c) + 1
+            vertices.append((left, left + 1, right, top, mx if (r + c) % 2 == 0 else my))
+    edges = 2 * rows * cols
+    total = 0.0 + 0.0j
+    for conf in range(2**edges):
+        bit = [(conf >> k) & 1 for k in range(edges)]
+        term = 1.0 + 0.0j
+        for left, bottom, right, top, m in vertices:
+            term *= m[2 * bit[left] + bit[bottom]][2 * bit[right] + bit[top]]
+        total += term
+    return total
+
+
 def cyclic_shift(sites: int) -> np.ndarray:
     """Translation by one site on the 2^sites chain basis."""
     dim = 2**sites
@@ -305,9 +334,65 @@ class TestPartitionFunctions:
         assert _shift_orbits(sites, period) is _shift_orbits(sites, period)
         assert not images.flags.writeable and not weight.flags.writeable
 
+    @pytest.mark.parametrize("parity", [EV, OD])
+    def test_pruned_enumeration_matches_the_plain_sum(self, parity, rng):
+        # every torus with at most 12 edges, at generic weights, six-vertex
+        # weights and six-vertex weights with one more zero slot
+        shapes = [(r, c) for r in range(1, 7) for c in range(1, 7) if r * c <= 6]
+        for zeros in ((), (6, 7), (4, 6, 7)):
+            w = rng.uniform(0.2, 1.4, size=8)
+            w[list(zeros)] = 0.0
+            w8 = WeightsEight(tuple(w), parity)
+            for rows, cols in shapes:
+                lattice = LatticeSpec(rows, cols)
+                ref = enumerate_by_definition(w8, lattice)
+                z = partition_enumerate(w8, lattice)
+                assert abs(z - ref) <= 1e-14 * abs(ref), (zeros, rows, cols, z, ref)
+        w8 = random_eight(rng, parity)
+        ref = enumerate_by_definition(w8, LatticeSpec(2, 2), staggered=True)
+        z = partition_enumerate(w8, LatticeSpec(2, 2), staggered=True)
+        assert abs(z - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("rows,cols", [(3, 5), (5, 3)])
+    def test_odd_by_odd_enumeration_is_exactly_zero(self, rows, cols, rng):
+        assert partition_enumerate(random_eight(rng, OD), LatticeSpec(rows, cols)) == 0.0
+
+    @pytest.mark.parametrize(
+        "rows,cols,staggered",
+        [(1, 12, False), (12, 1, False), (2, 6, False), (6, 2, False), (3, 4, False),
+         (4, 3, False), (2, 8, False), (8, 2, False), (4, 4, False),
+         (2, 6, True), (6, 2, True), (2, 8, True), (8, 2, True), (4, 4, True)],
+    )
+    @pytest.mark.parametrize("parity", [EV, OD])
+    def test_enumeration_matches_trace_at_full_reach(self, rows, cols, staggered, parity, rng):
+        w8 = random_eight(rng, parity)
+        lattice = LatticeSpec(rows, cols)
+        zt = partition_trace(w8, lattice, staggered=staggered)
+        ze = partition_enumerate(w8, lattice, staggered=staggered)
+        assert abs(zt - ze) < 1e-11 * abs(ze)
+
+    def test_enumeration_peak_memory_at_the_guard(self, rng):
+        tracemalloc.start()
+        try:
+            partition_enumerate(random_eight(rng, EV), LatticeSpec(4, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+    def test_staggered_trace_holds_one_factor_at_a_time(self, rng):
+        w8 = random_eight(rng, OD)
+        tracemalloc.start()
+        try:
+            partition_trace(w8, LatticeSpec(10, 10), staggered=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 16 * 4**10
+
     def test_enumeration_guard(self, rng):
         with pytest.raises(ValueError, match="enumeration"):
-            partition_enumerate(random_eight(rng, EV), LatticeSpec(4, 4))
+            partition_enumerate(random_eight(rng, EV), LatticeSpec(4, 5))
 
     def test_staggered_parity_guard(self, rng):
         with pytest.raises(ValueError, match="even rows"):
@@ -326,6 +411,12 @@ class TestWuKunz:
         rep = wu_kunz_check(w8, LatticeSpec(2, 2))
         assert rep.rel_diff < 1e-12
         assert rep.parity == parity.value
+
+    @pytest.mark.parametrize("parity", [OD, EV])
+    def test_enumeration_four_by_four(self, parity, rng):
+        rep = wu_kunz_check(random_eight(rng, parity), LatticeSpec(4, 4))
+        assert rep.backend == "enumerate"
+        assert rep.rel_diff < 1e-12
 
     @pytest.mark.parametrize("parity", [OD, EV])
     def test_trace_backend_four_by_four(self, parity, rng):
