@@ -378,8 +378,12 @@ def main(argv=None) -> int:
     report["pass"] = bool(ok)
     text = json.dumps(report, allow_nan=False)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            sys.stderr.write(f"vertex-sheaf: cannot write {args.output}: {exc.strerror}\n")
+            return 2
     else:
         sys.stdout.write(text + "\n")
     return code

@@ -101,19 +101,13 @@ def two_site_operator(op: np.ndarray, sites: int, p: int, q: int) -> np.ndarray:
         raise ValueError("two_site_operator expects a 4x4 operator")
     if p == q or not (0 <= p < sites and 0 <= q < sites):
         raise ValueError(f"invalid legs ({p}, {q}) for {sites} sites")
-    full = op.reshape(2, 2, 2, 2)
-    others = [x for x in range(sites) if x not in (p, q)]
-    for _ in others:
-        full = np.tensordot(full, np.eye(2, dtype=complex), axes=0)
-    # axis layout: p_out, q_out, p_in, q_in, then (out, in) per identity leg
-    pos_out = {p: 0, q: 1}
-    pos_in = {p: 2, q: 3}
-    for idx, leg in enumerate(others):
-        pos_out[leg] = 4 + 2 * idx
-        pos_in[leg] = 5 + 2 * idx
-    perm = [pos_out[x] for x in range(sites)] + [pos_in[x] for x in range(sites)]
+    # leg x is label x on the output side and sites + x on the input side
+    operands = [op.reshape(2, 2, 2, 2), [p, q, sites + p, sites + q]]
+    for x in range(sites):
+        if x not in (p, q):
+            operands += [np.eye(2, dtype=complex), [x, sites + x]]
     dim = 2**sites
-    return full.transpose(perm).reshape(dim, dim)
+    return np.einsum(*operands, list(range(2 * sites))).reshape(dim, dim)
 
 
 def real_part(z: complex, tol: float = REAL_TOL) -> float:

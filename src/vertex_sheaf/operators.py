@@ -5,11 +5,14 @@ of the staggered chain, the four-member intertwiner family labelled by
 parity pairs, and everything needed to test the Yang-Baxter equation
 numerically: leg embeddings, residuals, the six functional relations,
 and an SVD kernel solver that discovers the intertwiner from scratch.
+The solver's 64x16 linear system is two einsum contractions of the
+embedded Lax products with an identity.
 
 Every 4x4 vertex matrix, Lax operator and intertwiner alike, is eight
 weights on one of two sparsity patterns: ``SLOTS`` is the one vertex
-dictionary of where w1..w8 sit, filled by ``vertex_matrix``, and both
-partition backends of the transfer module read their weights through it.
+dictionary of where w1..w8 sit, filled by ``vertex_matrix`` and read
+back by ``matches_pattern``, and both partition backends of the
+transfer module read their weights through it.
 
 Basis conventions, fixed once for the whole package: two-dimensional
 legs with up = index 0, basis order (00, 01, 10, 11), first tensor slot
@@ -69,10 +72,6 @@ SLOTS = {
 }
 _FLAT_SLOTS = {kind: np.array([4 * i + j for i, j in ij]) for kind, ij in SLOTS.items()}
 
-#: nonzero positions of the two sparsity classes
-EVEN_POSITIONS = frozenset(SLOTS["even"])
-ODD_POSITIONS = frozenset(SLOTS["odd"])
-
 
 @dataclass(frozen=True)
 class LaxOperator:
@@ -114,14 +113,8 @@ def odd_pattern(a, b, c, d) -> np.ndarray:
 
 def matches_pattern(m: np.ndarray, kind: str, tol: float = 0.0) -> bool:
     """True when every off-pattern entry has magnitude <= tol."""
-    positions = EVEN_POSITIONS if kind == "even" else ODD_POSITIONS
-    m = np.asarray(m)
-    return all(
-        abs(m[i, j]) <= tol
-        for i in range(4)
-        for j in range(4)
-        if (i, j) not in positions
-    )
+    off = np.delete(np.asarray(m).reshape(16), _FLAT_SLOTS[kind])
+    return all(abs(x) <= tol for x in off)
 
 
 def lax_even(ws: WeightsSym) -> LaxOperator:
@@ -272,14 +265,14 @@ def solve_intertwiner(
         raise ValueError("cannot solve for the intertwiner of a zero Lax operator")
     l13 = linalg.two_site_operator(lax_p.matrix, 3, 0, 2)
     l23 = linalg.two_site_operator(lax_pp.matrix, 3, 1, 2)
-    a = l13 @ l23
-    b = l23 @ l13
-    system = np.zeros((64, 16), dtype=complex)
-    for idx in range(16):
-        basis = np.zeros((4, 4), dtype=complex)
-        basis[idx // 4, idx % 4] = 1.0
-        basis12 = linalg.two_site_operator(basis, 3, 0, 1)
-        system[:, idx] = (basis12 @ a - b @ basis12).reshape(64)
+    # R12 = R (x) I acts on the legs-1,2 factor of a 4 x 2 split of the rows
+    # of a and of the columns of b, so the column of R[r, q] is a Kronecker
+    # delta times a slice of a (or of b)
+    a = (l13 @ l23).reshape(4, 2, 8)
+    b = (l23 @ l13).reshape(8, 4, 2)
+    eye4 = np.eye(4, dtype=complex)
+    system = (np.einsum("pr,qik->pikrq", eye4, a).reshape(64, 16)
+              - np.einsum("ipk,qr->iqkpr", b, eye4).reshape(64, 16))
     kernel = linalg.null_space(system, rel_tol)
     candidates = [normalize_gauge(vec.reshape(4, 4)) for vec in kernel]
     return len(kernel), candidates

@@ -271,11 +271,6 @@ def partition_trace(
     return _shift_trace([_row_transfer([mats[0]] * cols)], cols, 1, rows)
 
 
-def _lut(m4: np.ndarray) -> np.ndarray:
-    """Flatten a 4x4 vertex matrix to the 16-entry enumeration table."""
-    return np.asarray(m4, dtype=complex).reshape(16).copy()
-
-
 def partition_enumerate(
     w8: WeightsEight, lattice: LatticeSpec, staggered: bool = False
 ) -> complex:
@@ -303,9 +298,9 @@ def partition_enumerate(
     if staggered:
         if rows % 2 or cols % 2:
             raise ValueError("staggered tori need even rows and cols")
-        lut_x, lut_y = (_lut(m4) for m4 in _sublattice_lax(w8))
+        lut_x, lut_y = (m4.reshape(16) for m4 in _sublattice_lax(w8))
     else:
-        lut_x = lut_y = _lut(_uniform_lax(w8).matrix)
+        lut_x = lut_y = _uniform_lax(w8).matrix.reshape(16)
 
     conf = np.zeros(1, dtype=np.int64)
     prod = np.ones(1, dtype=complex)

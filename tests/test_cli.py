@@ -292,6 +292,14 @@ class TestDeterminism:
         rep = json.loads(path.read_text())
         assert rep["command"] == "param"
 
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
+        code = main(["param", "--k", "0.5", "--lam", "0.7", "--mu", "0.3",
+                     "--output", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and str(tmp_path) in captured.err
+
 
 def test_module_entry_point():
     # the child process imports the same package this suite imported

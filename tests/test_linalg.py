@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,27 @@ class TestTwoSiteOperator:
         full = linalg.two_site_operator(op, 3, 0, 2)
         middle = linalg.kron_chain([I2, SX, I2])
         assert linalg.commutator_norm(full, middle) < 1e-14
+
+    def test_reversed_pair_is_the_swap_conjugate(self, rng):
+        op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+        np.testing.assert_array_equal(linalg.two_site_operator(op, 2, 1, 0), swap @ op @ swap)
+
+    def test_every_ordered_pair_on_four_sites(self, rng):
+        # entry by entry over basis indices, leg 0 the most significant bit
+        sites = 4
+        op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+
+        def bit(n, leg):
+            return n >> (sites - 1 - leg) & 1
+
+        for p, q in itertools.permutations(range(sites), 2):
+            expected = np.zeros((16, 16), dtype=complex)
+            for row, col in itertools.product(range(16), repeat=2):
+                if all(bit(row, x) == bit(col, x) for x in range(sites) if x not in (p, q)):
+                    expected[row, col] = op[2 * bit(row, p) + bit(row, q),
+                                            2 * bit(col, p) + bit(col, q)]
+            np.testing.assert_array_equal(linalg.two_site_operator(op, sites, p, q), expected)
 
     def test_invalid_legs(self):
         with pytest.raises(ValueError):

@@ -6,9 +6,8 @@ import pytest
 from vertex_sheaf import linalg
 from vertex_sheaf.elliptic import EllipticPoint, ThetaParams, baxter_weights
 from vertex_sheaf.operators import (
-    EVEN_POSITIONS,
-    ODD_POSITIONS,
     SIGMA_X,
+    SLOTS,
     LaxOperator,
     even_pattern,
     functional_residuals,
@@ -46,6 +45,21 @@ def elliptic_weights(mu: float) -> WeightsSym:
 
 def random_sym(rng, parity=EV) -> WeightsSym:
     return WeightsSym(*rng.uniform(0.2, 1.5, size=4), parity=parity)
+
+
+def column_by_column_system(lax_p: LaxOperator, lax_pp: LaxOperator) -> np.ndarray:
+    """The 64x16 intertwiner system built one basis matrix R = E_rq at a time."""
+    l13 = linalg.two_site_operator(lax_p.matrix, 3, 0, 2)
+    l23 = linalg.two_site_operator(lax_pp.matrix, 3, 1, 2)
+    a = l13 @ l23
+    b = l23 @ l13
+    system = np.zeros((64, 16), dtype=complex)
+    for idx in range(16):
+        basis = np.zeros((4, 4), dtype=complex)
+        basis[idx // 4, idx % 4] = 1.0
+        basis12 = linalg.two_site_operator(basis, 3, 0, 1)
+        system[:, idx] = (basis12 @ a - b @ basis12).reshape(64)
+    return system
 
 
 class TestLaxEven:
@@ -325,6 +339,24 @@ class TestSolveIntertwiner:
         assert res.max() < 1e-10
 
 
+    @pytest.mark.parametrize("lax", [lax_odd, lax_even])
+    def test_same_kernel_as_the_column_by_column_system(self, rng, lax):
+        elliptic = [(elliptic_weights(mu_p), elliptic_weights(mu_pp))
+                    for mu_p, mu_pp in rng.uniform(-0.6, 0.6, size=(4, 2))]
+        positive = [(random_sym(rng), random_sym(rng)) for _ in range(4)]
+        signed = [tuple(WeightsSym(*rng.uniform(-2.0, 2.0, size=4)) for _ in range(2))
+                  for _ in range(4)]
+        for n, (ws_p, ws_pp) in enumerate(elliptic + positive + signed):
+            lax_p, lax_pp = lax(ws_p), lax(ws_pp)
+            kernel = linalg.null_space(column_by_column_system(lax_p, lax_pp), 1e-8)
+            dim, candidates = solve_intertwiner(lax_p, lax_pp)
+            assert dim == len(kernel)
+            if n < len(elliptic):
+                assert dim >= 1
+            for found, vec in zip(candidates, kernel):
+                assert np.array_equal(found, normalize_gauge(vec.reshape(4, 4)))
+
+
 class TestSheafYangBaxter:
     def test_headline_parity_triple(self):
         res = sheaf_yang_baxter_residual((OD, OD, EV), 0.2, 0.3, K, LAM, PARAMS)
@@ -360,12 +392,20 @@ class TestLaxOperatorValidation:
             LaxOperator(bad, (EV, EV))
 
     def test_position_sets_partition_the_grid(self):
-        assert len(EVEN_POSITIONS) == 8
-        assert len(ODD_POSITIONS) == 8
-        assert not (EVEN_POSITIONS & ODD_POSITIONS)
+        even, odd = frozenset(SLOTS["even"]), frozenset(SLOTS["odd"])
+        assert len(even) == 8
+        assert len(odd) == 8
+        assert not (even & odd)
 
     def test_pattern_builders_agree_with_position_sets(self):
         ev = even_pattern(1, 2, 3, 4)
         od = odd_pattern(1, 2, 3, 4)
-        assert {tuple(ix) for ix in np.argwhere(ev != 0)} == EVEN_POSITIONS
-        assert {tuple(ix) for ix in np.argwhere(od != 0)} == ODD_POSITIONS
+        assert {tuple(ix) for ix in np.argwhere(ev != 0)} == frozenset(SLOTS["even"])
+        assert {tuple(ix) for ix in np.argwhere(od != 0)} == frozenset(SLOTS["odd"])
+
+    def test_off_pattern_magnitude_at_tol_matches(self):
+        m = even_pattern(1, 2, 3, 4)
+        m[0, 1] = -1e-8
+        assert matches_pattern(m, "even", tol=1e-8)
+        m[0, 1] = -np.nextafter(1e-8, 1.0)
+        assert not matches_pattern(m, "even", tol=1e-8)
