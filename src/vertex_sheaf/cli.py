@@ -31,6 +31,7 @@ from .operators import (
     lax_odd,
     normalize_gauge,
     sheaf_r_elliptic,
+    sheaf_weight_points,
     sheaf_yang_baxter_residual,
     solve_intertwiner,
 )
@@ -121,11 +122,10 @@ def cmd_ybe(args, tol) -> tuple[dict, bool]:
         if len(labels) != 3 or any(p not in _PARITY for p in labels):
             raise ValueError("parities must be three of ev/od, or 'all'")
         triples = [tuple(_PARITY[p] for p in labels)]
+    points = sheaf_weight_points(args.mu1, args.mu2, args.k, args.lam, params, args.detune)
     records = []
     for tri in triples:
-        res = sheaf_yang_baxter_residual(
-            tri, args.mu1, args.mu2, args.k, args.lam, params, detune=args.detune
-        )
+        res = sheaf_yang_baxter_residual(tri, points)
         records.append(
             {"parities": [p.value for p in tri], "residual": res, "pass": bool(res < tol)}
         )

@@ -1,6 +1,7 @@
-"""Dense complex linear algebra kernel shared by every other module.
+"""Dense linear algebra kernel shared by every other module.
 
-All matrices are numpy arrays of complex128.  Operations are pure
+Matrices keep the dtype of their data: 4x4 operators are complex128, and
+transfer matrices are float64 for real weights.  Operations are pure
 functions over immutable inputs; nothing here keeps state, so everything
 is safe to call from concurrent workers.
 """
@@ -25,8 +26,9 @@ REAL_TOL = 1e-10
 
 
 def as_matrix(entries) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting non-finite entries."""
-    m = np.asarray(entries, dtype=complex)
+    """Coerce to a square float64 or complex128 matrix, rejecting non-finite entries."""
+    m = np.asarray(entries)
+    m = m.astype(np.result_type(m, float), copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -45,16 +47,15 @@ def kron_chain(mats) -> np.ndarray:
     mats = list(mats)
     if not mats:
         raise ValueError("empty Kronecker chain")
-    out = np.asarray(mats[0], dtype=complex)
+    out = np.asarray(mats[0])
     for m in mats[1:]:
-        out = np.kron(out, np.asarray(m, dtype=complex))
+        out = np.kron(out, m)
     return out
 
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     """``max_abs(AB - BA)``.  Exactly zero when the operands commute."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return max_abs(a @ b - b @ a)
@@ -113,9 +114,9 @@ def two_site_operator(op: np.ndarray, sites: int, p: int, q: int) -> np.ndarray:
 def real_part(z: complex, tol: float = REAL_TOL) -> float:
     """Real part of a nominally real value.
 
-    Raises if the imaginary residue exceeds ``tol * max(1, |z|)``; complex
-    arithmetic is used internally everywhere, so genuinely real outputs
-    carry only rounding-level imaginary parts.
+    Raises if the imaginary residue exceeds ``tol * max(1, |z|)``; the
+    elliptic layer computes in complex arithmetic, so genuinely real
+    outputs carry only rounding-level imaginary parts.
     """
     z = complex(z)
     if abs(z.imag) > tol * max(1.0, abs(z)):

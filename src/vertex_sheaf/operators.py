@@ -57,6 +57,7 @@ __all__ = [
     "yang_baxter_residual",
     "functional_residuals",
     "solve_intertwiner",
+    "sheaf_weight_points",
     "sheaf_yang_baxter_residual",
     "normalize_gauge",
 ]
@@ -278,26 +279,31 @@ def solve_intertwiner(
     return len(kernel), candidates
 
 
+def sheaf_weight_points(
+    mu1: float, mu2: float, k: float, lam: float,
+    params: ThetaParams | None = None, detune: float = 0.0,
+) -> tuple[WeightsSym, WeightsSym, WeightsSym]:
+    """Elliptic weights of R12(mu1), R13(mu1 + mu2) and R23(mu2), each at mu - lam.
+
+    Every parity labelling of the three-leg relation is filled from these
+    three points.  ``detune`` shifts the middle argument and serves as a
+    negative control.
+    """
+    if params is None:
+        params = ThetaParams.from_modulus(k)
+    mus = (mu1, mu1 + mu2 + detune, mu2)
+    return tuple(baxter_weights(EllipticPoint(k, lam, mu - lam), params) for mu in mus)
+
+
 def sheaf_yang_baxter_residual(
     parities: tuple[Parity, Parity, Parity],
-    mu1: float,
-    mu2: float,
-    k: float,
-    lam: float,
-    params: ThetaParams | None = None,
-    detune: float = 0.0,
+    points: tuple[WeightsSym, WeightsSym, WeightsSym],
 ) -> float:
     """Relative residual of one parity-labelled three-leg relation.
 
-    Evaluates R12^(a1,a2)(mu1) R13^(a1,a3)(mu1+mu2) R23^(a2,a3)(mu2)
-    against the reversed product, each member built from the elliptic
-    family at its own argument.  ``detune`` shifts the middle argument
-    and serves as a negative control.
+    Evaluates R12^(a1,a2) R13^(a1,a3) R23^(a2,a3) against the reversed
+    product, the members filled from the three ``sheaf_weight_points``.
     """
     a1, a2, a3 = parities
-    if params is None:
-        params = ThetaParams.from_modulus(k)
-    r12 = sheaf_r_elliptic((a1, a2), k, lam, mu1, params)
-    r13 = sheaf_r_elliptic((a1, a3), k, lam, mu1 + mu2 + detune, params)
-    r23 = sheaf_r_elliptic((a2, a3), k, lam, mu2, params)
-    return _three_leg_residual(r12, r13, r23)
+    pairs = ((a1, a2), (a1, a3), (a2, a3))
+    return _three_leg_residual(*(r_sheaf(pair, ws) for pair, ws in zip(pairs, points)))

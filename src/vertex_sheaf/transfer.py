@@ -63,7 +63,8 @@ __all__ = [
     "commutation_scan",
 ]
 
-#: memory guard: 2^12 x 2^12 complex is the largest dense transfer matrix
+#: memory guard: the largest dense transfer matrix is 2^12 x 2^12, 256 MiB counted
+#: as complex128 entries, an upper bound (a row built from real weights takes half)
 MAX_SITES = 12
 #: enumeration guard: 2 * rows * cols edges, about 2^(edges/2 + 2) live
 #: partial configurations (13 MiB at 32 edges)
@@ -102,16 +103,18 @@ def _row_transfer(matrices: list[np.ndarray]) -> np.ndarray:
     """Auxiliary trace of the ordered product of 4x4 vertex matrices along a row.
 
     Each matrix is read as the Lax tensor l[a, i, b, j] = m4[2a + i, 2b + j]
-    (auxiliary legs a, b; quantum legs i, j).  The product grows with its
-    auxiliary legs open, and the last site is contracted together with
-    the trace, so the open product of the whole row is never formed.
+    (auxiliary legs a, b; quantum legs i, j), a real one when its imaginary
+    part is exactly zero: real weights give a float64 row.  The product
+    grows with its auxiliary legs open, and the last site is contracted
+    together with the trace, so the open product of the row is never formed.
     """
-    acc = np.eye(2, dtype=complex).reshape(2, 1, 2, 1)
-    for m4 in matrices[:-1]:
+    *head, last = [(m4 if m4.imag.any() else m4.real).reshape(2, 2, 2, 2) for m4 in matrices]
+    acc = np.eye(2, dtype=np.result_type(*head, last)).reshape(2, 1, 2, 1)
+    for lax in head:
         d = 2 * acc.shape[1]
-        acc = np.einsum("aIbJ,bicj->aIicJj", acc, m4.reshape(2, 2, 2, 2)).reshape(2, d, 2, d)
+        acc = np.einsum("aIbJ,bicj->aIicJj", acc, lax).reshape(2, d, 2, d)
     d = 2 * acc.shape[1]
-    return np.einsum("aIbJ,biaj->IiJj", acc, matrices[-1].reshape(2, 2, 2, 2)).reshape(d, d)
+    return np.einsum("aIbJ,biaj->IiJj", acc, last).reshape(d, d)
 
 
 def _check_sites(sites: int):
@@ -139,9 +142,9 @@ def transfer_family(lax: LaxOperator, max_sites: int) -> list[TransferMatrix]:
 
 
 def sigma_x_string(sites: int) -> np.ndarray:
-    """Global spin-flip operator sx (x) sx (x) ... (x) sx."""
+    """Global spin-flip operator sx (x) sx (x) ... (x) sx, real like sx."""
     _check_sites(sites)
-    return linalg.kron_chain([SIGMA_X] * sites)
+    return linalg.kron_chain([SIGMA_X.real] * sites)
 
 
 def _uniform_lax(w8: WeightsEight) -> LaxOperator:
@@ -404,7 +407,9 @@ def _scan_bytes(points: int, sites: int, kinds: tuple[str, str]) -> int:
 
     The kept transfer matrices (one list, or two when the kinds differ),
     the last build's working set of three matrices, the two commutator
-    products, and for staggered kinds T1, T2 and their product.
+    products, and for staggered kinds T1, T2 and their product.  Every
+    entry is counted as complex128, 16 bytes: an upper bound, since rows
+    built from real weights are float64 and take half.
     """
     kept = points * (1 if kinds[1] == kinds[0] else 2)
     pair = 3 if any(kind in _STAGGERED_KINDS for kind in kinds) else 0
@@ -418,7 +423,8 @@ def commutation_scan(
 
     Entry (i, j) is the relative commutator of the kinds[0] transfer
     matrix at points[i] with the kinds[1] transfer matrix at points[j],
-    all on the same chain.
+    all on the same chain.  Equal kinds give an exactly symmetric grid
+    (|AB - BA| is |BA - AB|) with a zero diagonal: only i < j is computed.
     """
     if not points:
         raise ValueError("commutation scan needs at least one point")
@@ -437,6 +443,6 @@ def commutation_scan(
     n = len(points)
     out = np.zeros((n, n))
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1 if second is first else 0, n):
             out[i, j] = linalg.rel_commutator_norm(first[i], second[j])
-    return out
+    return out + out.T if second is first else out

@@ -27,6 +27,7 @@ from vertex_sheaf.operators import (
     matches_pattern,
     normalize_gauge,
     sheaf_r_elliptic,
+    sheaf_weight_points,
     sheaf_yang_baxter_residual,
     solve_intertwiner,
 )
@@ -122,11 +123,12 @@ def test_criterion_3_sheaf_yang_baxter():
     worst_headline = 0.0
     for _ in range(10):
         mu1, mu2 = rng.uniform(0.05, 0.3, size=2)
-        res = sheaf_yang_baxter_residual((OD, OD, EV), mu1, mu2, K, LAM, PARAMS)
+        points = sheaf_weight_points(mu1, mu2, K, LAM, PARAMS)
+        res = sheaf_yang_baxter_residual((OD, OD, EV), points)
         worst_headline = max(worst_headline, res)
     sweep = {
         "".join(p.value[0] for p in tri): sheaf_yang_baxter_residual(
-            tri, 0.2, 0.3, K, LAM, PARAMS
+            tri, sheaf_weight_points(0.2, 0.3, K, LAM, PARAMS)
         )
         for tri in itertools.product((EV, OD), repeat=3)
     }

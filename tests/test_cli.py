@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import vertex_sheaf
+from vertex_sheaf import cli, elliptic, operators
 from vertex_sheaf.cli import DEFAULT_THRESHOLDS, main
 
 
@@ -61,6 +62,21 @@ class TestYbe:
         assert len(rep["records"]) == 8
         labels = {tuple(r["parities"]) for r in rep["records"]}
         assert len(labels) == 8
+
+    def test_all_evaluates_three_weight_points(self, capsys, monkeypatch):
+        # eight parity triples share the weights at mu1, mu1 + mu2 and mu2
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return elliptic.baxter_weights(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "baxter_weights", counting)
+        monkeypatch.setattr(cli, "baxter_weights", counting)
+        code, _ = run_cli(capsys, "ybe", "--mu1", "0.2", "--mu2", "0.3",
+                          "--parities", "all")
+        assert code == 0
+        assert len(calls) == 3
 
     def test_detune_is_a_failing_negative_control(self, capsys):
         code, rep = run_cli(capsys, "ybe", "--mu1", "0.2", "--mu2", "0.3",

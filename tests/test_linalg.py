@@ -28,6 +28,32 @@ class TestKron:
         np.testing.assert_array_equal(m @ m, np.eye(8))
 
 
+class TestAsMatrix:
+    def test_real_input_stays_float64(self, rng):
+        m = linalg.as_matrix(rng.normal(size=(4, 4)))
+        assert m.dtype == np.float64
+        assert linalg.as_matrix([[1, 0], [0, 1]]).dtype == np.float64
+
+    def test_complex_input_stays_complex128(self, rng):
+        m = linalg.as_matrix(rng.normal(size=(4, 4)) + 0j)
+        assert m.dtype == np.complex128
+
+    def test_float64_input_is_not_copied(self, rng):
+        m = rng.normal(size=(4, 4))
+        assert linalg.as_matrix(m) is m
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.eye(3, dtype=type(bad))
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.as_matrix(m)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            linalg.as_matrix(np.zeros((2, 3)))
+
+
 class TestCommutatorNorm:
     def test_self_commutation_exact_zero(self, rng):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -42,6 +68,18 @@ class TestCommutatorNorm:
         d1 = np.diag(rng.normal(size=5) + 1j * rng.normal(size=5))
         d2 = np.diag(rng.normal(size=5) + 1j * rng.normal(size=5))
         assert linalg.commutator_norm(d1, d2) < 1e-15 * linalg.max_abs(d1) * linalg.max_abs(d2)
+
+    def test_mixed_real_and_complex_operands(self, rng):
+        a = rng.normal(size=(4, 4))
+        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        expected = linalg.commutator_norm(a.astype(complex), b)
+        assert linalg.commutator_norm(a, b) == expected
+        assert linalg.commutator_norm(b, a) == expected
+        assert linalg.rel_commutator_norm(a, b) > 0.0
+
+    def test_real_operands_stay_real(self):
+        assert linalg.kron_chain([SX.real, SZ.real]).dtype == np.float64
+        assert linalg.commutator_norm(SX.real, SZ.real) == 2.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):

@@ -20,6 +20,7 @@ from vertex_sheaf.operators import (
     odd_pattern,
     r_sheaf,
     sheaf_r_elliptic,
+    sheaf_weight_points,
     sheaf_yang_baxter_residual,
     solve_intertwiner,
     yang_baxter_residual,
@@ -357,32 +358,42 @@ class TestSolveIntertwiner:
                 assert np.array_equal(found, normalize_gauge(vec.reshape(4, 4)))
 
 
+def family_points(mu1, mu2, detune=0.0):
+    return sheaf_weight_points(mu1, mu2, K, LAM, PARAMS, detune)
+
+
 class TestSheafYangBaxter:
     def test_headline_parity_triple(self):
-        res = sheaf_yang_baxter_residual((OD, OD, EV), 0.2, 0.3, K, LAM, PARAMS)
+        res = sheaf_yang_baxter_residual((OD, OD, EV), family_points(0.2, 0.3))
         assert res < 1e-10
 
     def test_all_eight_triples(self):
         # the family claim: every parity labelling satisfies the relation
         for tri in itertools.product((EV, OD), repeat=3):
-            res = sheaf_yang_baxter_residual(tri, 0.2, 0.3, K, LAM, PARAMS)
+            res = sheaf_yang_baxter_residual(tri, family_points(0.2, 0.3))
             assert res < 1e-10, f"triple {tri} residual {res}"
 
     def test_degenerate_first_argument(self):
-        res = sheaf_yang_baxter_residual((OD, OD, EV), 0.0, 0.3, K, LAM, PARAMS)
+        res = sheaf_yang_baxter_residual((OD, OD, EV), family_points(0.0, 0.3))
         assert res < 1e-10
 
     def test_detuned_middle_argument_is_a_negative_control(self):
-        res = sheaf_yang_baxter_residual(
-            (OD, OD, EV), 0.2, 0.3, K, LAM, PARAMS, detune=0.1
-        )
+        res = sheaf_yang_baxter_residual((OD, OD, EV), family_points(0.2, 0.3, detune=0.1))
         assert res > 1e-3
 
     def test_random_spectral_draws(self, rng):
         for _ in range(5):
             mu1, mu2 = rng.uniform(0.05, 0.3, size=2)
-            res = sheaf_yang_baxter_residual((OD, OD, EV), mu1, mu2, K, LAM, PARAMS)
+            res = sheaf_yang_baxter_residual((OD, OD, EV), family_points(mu1, mu2))
             assert res < 1e-10
+
+    def test_points_fill_the_elliptic_family_members(self):
+        # the members at mu1, mu1 + mu2 + detune and mu2, bit for bit
+        w12, w13, w23 = family_points(0.2, 0.3, detune=0.05)
+        for pair in itertools.product((EV, OD), repeat=2):
+            for ws, mu in ((w12, 0.2), (w13, 0.2 + 0.3 + 0.05), (w23, 0.3)):
+                expected = sheaf_r_elliptic(pair, K, LAM, mu, PARAMS)
+                assert np.array_equal(r_sheaf(pair, ws), expected)
 
 
 class TestLaxOperatorValidation:

@@ -6,11 +6,20 @@ import pytest
 
 from vertex_sheaf import linalg
 from vertex_sheaf.elliptic import EllipticPoint, ThetaParams, baxter_weights
-from vertex_sheaf.operators import lax_asym_even, lax_asym_odd, lax_even, lax_odd
+from vertex_sheaf.operators import (
+    LaxOperator,
+    lax_asym_even,
+    lax_asym_odd,
+    lax_even,
+    lax_odd,
+    vertex_matrix,
+)
 from vertex_sheaf.transfer import (
     LatticeSpec,
+    _row_transfer,
     _scan_bytes,
     _shift_orbits,
+    _transfer_of_kind,
     commutation_scan,
     partition_enumerate,
     partition_trace,
@@ -167,6 +176,51 @@ class TestTransferMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * t.matrix.nbytes
+
+
+class TestRealArithmetic:
+    """Real weights build float64 rows; complex Lax entries build complex rows."""
+
+    @pytest.mark.parametrize("parity", [EV, OD])
+    def test_real_weights_give_float64_rows(self, parity, rng):
+        w8 = random_eight(rng, parity)
+        lax = lax_asym_odd if parity is OD else lax_asym_even
+        lx = lax(w8).matrix
+        ly = lax(reparity(staggered_companion(w8), parity)).matrix
+        t1, t2 = staggered_transfer_pair(w8, 2)
+        family = transfer_family(lax(w8), 4)
+        built = [(t.matrix, [lx] * t.sites) for t in family]
+        built += [(t1.matrix, [lx, ly, lx, ly]), (t2.matrix, [ly, lx, ly, lx])]
+        built.append((transfer_matrix(lax(w8), 4).matrix, [lx] * 4))
+        for matrix, mats in built:
+            assert matrix.dtype == np.float64
+            ref = row_transfer_by_definition(mats)
+            assert linalg.max_abs(matrix - ref) <= 1e-14 * linalg.max_abs(ref)
+
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    def test_complex_entries_give_complex_rows(self, kind, rng):
+        w = rng.uniform(0.2, 1.4, size=8) * np.exp(1j * rng.uniform(0.1, 3.0, size=8))
+        lax = LaxOperator(vertex_matrix(kind, w), (Parity(kind), EV))
+        t = transfer_matrix(lax, 4).matrix
+        assert t.dtype == np.complex128
+        ref = row_transfer_by_definition([lax.matrix] * 4)
+        assert linalg.max_abs(t - ref) <= 1e-14 * linalg.max_abs(ref)
+
+    def test_one_complex_site_makes_the_row_complex(self, rng):
+        real = lax_asym_odd(random_eight(rng, OD)).matrix
+        phased = real * np.exp(0.7j)
+        mats = [real, phased, real, real]
+        t = _row_transfer(mats)
+        assert t.dtype == np.complex128
+        ref = row_transfer_by_definition(mats)
+        assert linalg.max_abs(t - ref) <= 1e-14 * linalg.max_abs(ref)
+
+    @pytest.mark.parametrize("sites", [1, 3, 6, 9])
+    def test_spin_flip_string_reverses_rows_exactly(self, sites, rng):
+        s = sigma_x_string(sites)
+        assert s.dtype == np.float64
+        t = transfer_matrix(lax_even(random_sym(rng)), sites).matrix
+        assert np.array_equal(s @ t, t[::-1])
 
 
 class TestSigmaXString:
@@ -475,6 +529,14 @@ class TestCommutationScan:
         finally:
             tracemalloc.stop()
         assert _scan_bytes(len(points), 10, kinds) >= peak
+
+    @pytest.mark.parametrize("kind", ["even", "odd", "stagprod"])
+    def test_equal_kinds_match_the_full_grid(self, kind):
+        # the full n x n loop, as before the scan mirrored the upper triangle
+        points = [elliptic_weights(mu) for mu in (0.1, 0.25, 0.4)]
+        mats = [_transfer_of_kind(p, kind, 6) for p in points]
+        full = np.array([[linalg.rel_commutator_norm(a, b) for b in mats] for a in mats])
+        assert np.array_equal(commutation_scan(points, 6, (kind, kind)), full)
 
     def test_kind_validation(self, rng):
         with pytest.raises(ValueError, match="unknown transfer kind"):
