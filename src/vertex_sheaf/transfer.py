@@ -4,7 +4,9 @@ Two independent partition-function backends share one vertex dictionary
 (``operators.SLOTS``, read through the Lax constructors): a trace
 backend that contracts the Lax tensor of each vertex matrix along the
 shorter side of the torus, traces the auxiliary legs, and sums the
-trace of the row power over the momentum blocks of the cyclic shift;
+trace of the row power over the momentum blocks of the cyclic shift,
+building only the rows at the shift's orbit representatives and only
+half of the momenta (the other half are their complex conjugates);
 and an exhaustive enumeration backend that sums the weight of every
 arrow configuration on a small torus, assigning edges vertex by vertex
 and dropping every partial configuration whose weight is already
@@ -64,7 +66,8 @@ __all__ = [
 ]
 
 #: memory guard: the largest dense transfer matrix is 2^12 x 2^12, 256 MiB counted
-#: as complex128 entries, an upper bound (a row built from real weights takes half)
+#: as complex128 entries, an upper bound (a row built from real weights takes half);
+#: the trace backend holds about 2^12 / 12 representative rows of it, not the matrix
 MAX_SITES = 12
 #: enumeration guard: 2 * rows * cols edges, about 2^(edges/2 + 2) live
 #: partial configurations (13 MiB at 32 edges)
@@ -99,7 +102,7 @@ class LatticeSpec:
             raise ValueError("lattice dimensions must be positive")
 
 
-def _row_transfer(matrices: list[np.ndarray]) -> np.ndarray:
+def _row_transfer(matrices: list[np.ndarray], keeps=None) -> np.ndarray:
     """Auxiliary trace of the ordered product of 4x4 vertex matrices along a row.
 
     Each matrix is read as the Lax tensor l[a, i, b, j] = m4[2a + i, 2b + j]
@@ -107,14 +110,22 @@ def _row_transfer(matrices: list[np.ndarray]) -> np.ndarray:
     part is exactly zero: real weights give a float64 row.  The product
     grows with its auxiliary legs open, and the last site is contracted
     together with the trace, so the open product of the row is never formed.
+
+    ``keeps`` (one boolean mask per site, from ``_prefix_keeps``) restricts
+    the row index: after each site the row prefixes that no wanted row
+    extends are dropped, and the last mask picks the wanted rows.  Every
+    kept entry is formed by the same products as in the dense row.
     """
     *head, last = [(m4 if m4.imag.any() else m4.real).reshape(2, 2, 2, 2) for m4 in matrices]
+    keeps = (slice(None),) * len(matrices) if keeps is None else keeps
     acc = np.eye(2, dtype=np.result_type(*head, last)).reshape(2, 1, 2, 1)
-    for lax in head:
-        d = 2 * acc.shape[1]
-        acc = np.einsum("aIbJ,bicj->aIicJj", acc, lax).reshape(2, d, 2, d)
-    d = 2 * acc.shape[1]
-    return np.einsum("aIbJ,biaj->IiJj", acc, last).reshape(d, d)
+    for lax, keep in zip(head, keeps):
+        d = 2 * acc.shape[3]
+        acc = np.einsum("aIbJ,bicj->aIicJj", acc, lax).reshape(2, -1, 2, d)
+        # a masked acc is strided along I; the einsums run faster on C order
+        acc = np.ascontiguousarray(acc[:, keep])
+    d = 2 * acc.shape[3]
+    return np.einsum("aIbJ,biaj->IiJj", acc, last).reshape(-1, d)[keeps[-1]]
 
 
 def _check_sites(sites: int):
@@ -157,16 +168,18 @@ def _sublattice_lax(w8: WeightsEight) -> tuple[np.ndarray, np.ndarray]:
     return _uniform_lax(w8).matrix, _uniform_lax(companion).matrix
 
 
-def _staggered_rows(lx: np.ndarray, ly: np.ndarray, pairs: int) -> Iterator[np.ndarray]:
+def _staggered_rows(
+    lx: np.ndarray, ly: np.ndarray, pairs: int, keeps=None
+) -> Iterator[np.ndarray]:
     """Rows alternating lx, ly (T1) and ly, lx (T2) over 2*pairs sites.
 
     The chain length is checked at once; each row is built only when it
     is drawn, so a consumer that drops T1 before drawing T2 never holds
-    both.
+    both.  ``keeps`` restricts both rows as in ``_row_transfer``.
     """
     if pairs < 1 or 2 * pairs > MAX_SITES:
         raise ValueError(f"staggered chain length {2 * pairs} outside 2..{MAX_SITES}")
-    return (_row_transfer(row) for row in ([lx, ly] * pairs, [ly, lx] * pairs))
+    return (_row_transfer(row, keeps) for row in ([lx, ly] * pairs, [ly, lx] * pairs))
 
 
 def staggered_transfer_pair(
@@ -213,11 +226,40 @@ def _shift_orbits(sites: int, period: int) -> tuple[np.ndarray, np.ndarray]:
     return images, weight
 
 
-def _shift_trace(factors, sites: int, period: int, power: int) -> complex:
-    """Tr((F1 F2 ...)^power) for dense factors that commute with P^period.
+@functools.cache
+def _prefix_keeps(sites: int, period: int) -> tuple[np.ndarray, ...]:
+    """Masks that restrict ``_row_transfer`` to the orbit representatives.
 
-    ``factors`` may be a lazy iterable: each factor is released once its
-    blocks are formed, before the next one is drawn.
+    The row index reads the sites from the most significant bit, so after
+    s sites a row of the representative r_a (``images[:, 0]`` of
+    ``_shift_orbits``) has the prefix r_a >> (sites - s).  Mask s - 1
+    runs over the live prefixes of s - 1 sites, each extended by one bit
+    in order, and keeps those that begin a representative; the last mask
+    keeps exactly the representatives, in increasing order.  Read-only
+    and shared, like the orbit tables.
+    """
+    reps = _shift_orbits(sites, period)[0][:, 0]
+    live = np.zeros(1, dtype=np.intp)
+    keeps = []
+    for s in range(1, sites + 1):
+        begins = np.zeros(2**s, dtype=bool)
+        begins[reps >> (sites - s)] = True
+        grown = (2 * live[:, None] + np.arange(2)).ravel()
+        keep = begins[grown]
+        live = grown[keep]
+        keep.flags.writeable = False
+        keeps.append(keep)
+    return tuple(keeps)
+
+
+def _shift_trace(factors, sites: int, period: int, power: int) -> complex:
+    """Tr((F1 F2 ...)^power) for real factors that commute with P^period.
+
+    Each factor is given by its rows at the orbit representatives, in the
+    order of ``_shift_orbits`` (``_row_transfer`` restricted by
+    ``_prefix_keeps``): no other row is read, so no dense factor is ever
+    formed.  ``factors`` may be a lazy iterable: each factor is released
+    once its blocks are formed, before the next one is drawn.
 
     P is the cyclic shift of the chain, P^L = 1 with L = sites / period.
     With r_a the representative and d_a the size of orbit a, the states
@@ -227,24 +269,36 @@ def _shift_trace(factors, sites: int, period: int, power: int) -> complex:
     each k = 0..L-1 they span the momentum-k eigenspace of P.  A factor
     F that commutes with P keeps k and has the block
     <a, k|F|b, k> = sqrt(d_a d_b) / L * sum_t exp(-2 pi i k t / L) F[r_a, P^t r_b],
-    one FFT over t of the gathered entries.  The sum over t repeats with
-    period d_a and with period d_b, so where either orbit does not carry
-    k the entry is an exact cancellation that the FFT only reaches to
-    rounding: the zero weight restores the exact 0, and the missing
-    states become zero rows and columns that no power or trace sees.
-    The trace is then the sum over k of the block traces, from one
-    batched matrix power of the L products of blocks.
+    one FFT over t of the representative rows gathered at the orbit
+    images.  The sum over t repeats with period d_a and with period d_b,
+    so where either orbit does not carry k the entry is an exact
+    cancellation that the FFT only reaches to rounding: the zero weight
+    restores the exact 0, and the missing states become zero rows and
+    columns that no power or trace sees.
+
+    The trace is the sum over k of the block traces tr_k.  A real F has
+    B_(L-k) = conj(B_k), the FFT of a real sequence at -k, and the
+    weights at L - k equal those at k, so tr_(L-k) = conj(tr_k) for every
+    power and product of real factors.  Hence
+    Tr = tr_0 + 2 Re sum_(0<k<L/2) tr_k (+ tr_(L/2) when L is even),
+    with tr_0 and tr_(L/2) real: only the L // 2 + 1 blocks of a real FFT
+    are formed and multiplied, in one batched matrix power, and the
+    result is exactly real.
     """
     images, weight = _shift_orbits(sites, period)
+    length = images.shape[1]
+    weight = weight[: length // 2 + 1]
     step = None
     for f in factors:
-        gathered = f[images[:, None, :1], images[None, :, :]]
+        gathered = f[:, images]
         del f  # a lazily built next factor then never meets this one
-        blocks = np.fft.fft(gathered, axis=2).transpose(2, 0, 1)
+        blocks = np.fft.rfft(gathered, axis=2).transpose(2, 0, 1)
         del gathered
         blocks *= weight[:, :, None] * weight[:, None, :]
         step = blocks if step is None else step @ blocks
-    return complex(np.linalg.matrix_power(step, power).diagonal(axis1=1, axis2=2).sum())
+    traces = np.linalg.matrix_power(step, power).diagonal(axis1=1, axis2=2).sum(axis=1).real
+    traces[1 : (length + 1) // 2] *= 2
+    return complex(traces.sum())
 
 
 def partition_trace(
@@ -259,7 +313,12 @@ def partition_trace(
     matrix conjugated by SWAP) and keeps the (r + c) checkerboard.  The
     trace is summed over the momentum blocks of the cyclic shift
     (``_shift_trace``), by one site for uniform rows and by two for
-    staggered rows, so no dense power is formed.
+    staggered rows, so no dense power is formed, and only the rows at
+    the orbit representatives are built: about 2^cols / cols rows of a
+    uniform row, 2^cols / (cols / 2) of a staggered one, instead of
+    2^cols.  The weights are real, so the row is float64, half the
+    momentum spectrum carries the whole trace, and the result has
+    imaginary part exactly 0.
     """
     rows, cols = lattice.rows, lattice.cols
     if staggered and (rows % 2 or cols % 2):
@@ -268,10 +327,14 @@ def partition_trace(
     if rows < cols:
         rows, cols = cols, rows
         mats = tuple(m[_SWAP][:, _SWAP] for m in mats)
-    if staggered:
-        return _shift_trace(_staggered_rows(*mats, cols // 2), cols, 2, rows // 2)
     _check_sites(cols)
-    return _shift_trace([_row_transfer([mats[0]] * cols)], cols, 1, rows)
+    period = 2 if staggered else 1
+    keeps = _prefix_keeps(cols, period)
+    if staggered:
+        factors = _staggered_rows(*mats, cols // 2, keeps)
+    else:
+        factors = [_row_transfer([mats[0]] * cols, keeps)]
+    return _shift_trace(factors, cols, period, rows // period)
 
 
 def partition_enumerate(

@@ -16,10 +16,13 @@ from vertex_sheaf.operators import (
 )
 from vertex_sheaf.transfer import (
     LatticeSpec,
+    _prefix_keeps,
     _row_transfer,
     _scan_bytes,
     _shift_orbits,
+    _sublattice_lax,
     _transfer_of_kind,
+    _uniform_lax,
     commutation_scan,
     partition_enumerate,
     partition_trace,
@@ -44,6 +47,8 @@ PARAMS = ThetaParams.from_modulus(K)
 EV, OD = Parity.EVEN, Parity.ODD
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+#: SWAP on the two legs of a vertex: m[SWAP][:, SWAP] is S m S
+SWAP = [0, 2, 1, 3]
 
 
 def elliptic_weights(mu: float) -> WeightsSym:
@@ -100,6 +105,34 @@ def enumerate_by_definition(w8: WeightsEight, lattice: LatticeSpec, staggered=Fa
             term *= m[2 * bit[left] + bit[bottom]][2 * bit[right] + bit[top]]
         total += term
     return total
+
+
+def trace_by_full_spectrum(w8: WeightsEight, lattice: LatticeSpec, staggered=False) -> complex:
+    """The momentum-block trace from dense rows and all L momenta.
+
+    The dense row (or the two staggered rows) along the shorter side,
+    every entry F[r_a, P^t r_b] gathered from it, the full complex FFT
+    over t and the batched power of all L blocks, summed with no use of
+    the conjugate symmetry of real factors.
+    """
+    rows, cols = lattice.rows, lattice.cols
+    mats = _sublattice_lax(w8) if staggered else (_uniform_lax(w8).matrix,)
+    if rows < cols:
+        rows, cols = cols, rows
+        mats = tuple(m[SWAP][:, SWAP] for m in mats)
+    if staggered:
+        lx, ly = mats
+        period, factors = 2, ([lx, ly] * (cols // 2), [ly, lx] * (cols // 2))
+    else:
+        period, factors = 1, ([mats[0]] * cols,)
+    images, weight = _shift_orbits(cols, period)
+    step = None
+    for row in factors:
+        f = _row_transfer(row)
+        blocks = np.fft.fft(f[images[:, None, :1], images[None, :, :]], axis=2).transpose(2, 0, 1)
+        blocks *= weight[:, :, None] * weight[:, None, :]
+        step = blocks if step is None else step @ blocks
+    return complex(np.linalg.matrix_power(step, rows // period).diagonal(axis1=1, axis2=2).sum())
 
 
 def cyclic_shift(sites: int) -> np.ndarray:
@@ -176,6 +209,34 @@ class TestTransferMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * t.matrix.nbytes
+
+
+class TestRepresentativeRows:
+    """Rows restricted by ``_prefix_keeps`` are the dense rows at the orbit
+    representatives, bit for bit."""
+
+    @pytest.mark.parametrize("sites", range(1, 11))
+    @pytest.mark.parametrize("parity", [EV, OD])
+    def test_rows_equal_the_dense_rows(self, sites, parity, rng):
+        lx, ly = _sublattice_lax(random_eight(rng, parity))
+        rows = [[lx] * sites]
+        if sites % 2 == 0:
+            rows += [[lx, ly] * (sites // 2), [ly, lx] * (sites // 2)]
+        rows += [[m[SWAP][:, SWAP] for m in row] for row in rows]
+        for period in (1, 2) if sites % 2 == 0 else (1,):
+            keeps = _prefix_keeps(sites, period)
+            reps = _shift_orbits(sites, period)[0][:, 0]
+            for mats in rows:
+                assert np.array_equal(_row_transfer(mats, keeps), _row_transfer(mats)[reps])
+
+    def test_mixed_real_complex_row(self, rng):
+        real = lax_asym_odd(random_eight(rng, OD)).matrix
+        mats = [real, real * np.exp(0.7j), real, real]
+        for period in (1, 2):
+            rows = _row_transfer(mats, _prefix_keeps(4, period))
+            assert rows.dtype == np.complex128
+            reps = _shift_orbits(4, period)[0][:, 0]
+            assert np.array_equal(rows, _row_transfer(mats)[reps])
 
 
 class TestRealArithmetic:
@@ -371,6 +432,25 @@ class TestPartitionFunctions:
             assert abs(z - ref) <= 1e-12 * abs(ref), (rows, cols, z, ref)
             assert abs(z.imag) <= 1e-12 * abs(z), (rows, cols, z)
 
+    @pytest.mark.parametrize("staggered", [False, True])
+    @pytest.mark.parametrize("parity", [EV, OD])
+    def test_trace_matches_the_full_spectrum_reference(self, parity, staggered, rng):
+        # every torus with a chain of at most 10 sites, in all four parity
+        # classes of (rows, cols) and in both orientations
+        sides = range(2, 12, 2) if staggered else range(1, 12)
+        for rows, cols in itertools.product(sides, repeat=2):
+            if min(rows, cols) > 10:
+                continue
+            w8 = random_eight(rng, parity)
+            lattice = LatticeSpec(rows, cols)
+            z = partition_trace(w8, lattice, staggered=staggered)
+            assert z.imag == 0.0, (rows, cols, z)
+            if parity is OD and rows % 2 and cols % 2:
+                assert z == 0.0, (rows, cols, z)
+                continue
+            ref = trace_by_full_spectrum(w8, lattice, staggered)
+            assert abs(z - ref) <= 1e-13 * abs(ref), (rows, cols, z, ref)
+
     @pytest.mark.parametrize("rows,cols", [(1, 3), (3, 5), (5, 3), (3, 7)])
     def test_odd_by_odd_trace_is_exactly_zero(self, rows, cols, rng):
         # T_odd maps each sigma^z-string sector to the other on an odd chain,
@@ -387,6 +467,14 @@ class TestPartitionFunctions:
         assert np.count_nonzero(weight) == 2**sites
         assert _shift_orbits(sites, period) is _shift_orbits(sites, period)
         assert not images.flags.writeable and not weight.flags.writeable
+        # the prefix masks, chained from the empty prefix, end at the representatives
+        keeps = _prefix_keeps(sites, period)
+        assert _prefix_keeps(sites, period) is keeps and len(keeps) == sites
+        assert not any(keep.flags.writeable for keep in keeps)
+        live = np.zeros(1, dtype=np.intp)
+        for keep in keeps:
+            live = (2 * live[:, None] + np.arange(2)).ravel()[keep]
+        assert np.array_equal(live, images[:, 0])
 
     @pytest.mark.parametrize("parity", [EV, OD])
     def test_pruned_enumeration_matches_the_plain_sum(self, parity, rng):
@@ -443,6 +531,17 @@ class TestPartitionFunctions:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * 16 * 4**10
+
+    def test_uniform_trace_builds_no_dense_row(self, rng):
+        # the dense 12-site row alone is 128 MiB; the representative rows
+        # of a 20 x 12 torus and their momentum blocks stay well below it
+        tracemalloc.start()
+        try:
+            partition_trace(random_eight(rng, EV), LatticeSpec(20, 12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96 * 2**20
 
     def test_enumeration_guard(self, rng):
         with pytest.raises(ValueError, match="enumeration"):
