@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import transfer
+from . import linalg, transfer
 from .elliptic import EllipticPoint, GuardError, ThetaParams, baxter_weights
 from .operators import (
     functional_residuals,
@@ -243,21 +243,15 @@ def cmd_partition(args, tol) -> tuple[dict, bool]:
         "backend": args.backend,
         "tol": tol,
     }
-    ok = True
-    if args.backend in ("trace", "both"):
-        z = transfer.partition_trace(w8, lattice, staggered=args.staggered)
-        report["trace"] = _complex_json(z)
-    if args.backend in ("enumerate", "both"):
-        z = transfer.partition_enumerate(w8, lattice, staggered=args.staggered)
-        report["enumerate"] = _complex_json(z)
-    if args.backend == "both":
-        zt = complex(*report["trace"])
-        ze = complex(*report["enumerate"])
-        scale = max(abs(zt), abs(ze))
-        gap = abs(zt - ze) / scale if scale > 0 else 0.0
-        report["rel_diff"] = gap
-        ok = gap < tol
-    return report, ok
+    zs = {}
+    for name in transfer.BACKENDS if args.backend == "both" else (args.backend,):
+        compute = getattr(transfer, transfer.BACKENDS[name])
+        zs[name] = compute(w8, lattice, staggered=args.staggered)
+        report[name] = _complex_json(zs[name])
+    if len(zs) == 1:
+        return report, True
+    report["rel_diff"] = gap = linalg.rel_gap(*zs.values())
+    return report, gap < tol
 
 
 def cmd_wukunz(args, tol) -> tuple[dict, bool]:
@@ -270,8 +264,8 @@ def cmd_wukunz(args, tol) -> tuple[dict, bool]:
         "seed": args.seed,
         "tol": tol,
     }
-    report.update(rep.to_json_dict())
-    return report, rep.rel_diff < tol
+    report.update(rep)
+    return report, rep["rel_diff"] < tol
 
 
 def cmd_sample_krinsky(args, tol) -> tuple[dict, bool]:
@@ -347,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="w1..w8 comma-separated; omit to draw from --seed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--staggered", action="store_true")
-    p.add_argument("--backend", choices=("trace", "enumerate", "both"), default="both")
+    p.add_argument("--backend", choices=(*transfer.BACKENDS, "both"), default="both")
 
     p = command("wukunz", cmd_wukunz, "uniform vs staggered equivalence check", "enumeration")
     p.add_argument("--model", choices=("even", "odd"), default="odd")
@@ -355,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, default=2)
     p.add_argument("--weights", help="w1..w8 comma-separated; omit to draw from --seed")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", choices=("trace", "enumerate"), default="enumerate")
+    p.add_argument("--backend", choices=tuple(transfer.BACKENDS), default="enumerate")
 
     p = command("sample-krinsky", cmd_sample_krinsky, "seeded on-manifold weight pair",
                 "commutator")

@@ -16,6 +16,7 @@ __all__ = [
     "kron_chain",
     "commutator_norm",
     "rel_commutator_norm",
+    "rel_gap",
     "null_space",
     "two_site_operator",
     "real_part",
@@ -67,6 +68,12 @@ def rel_commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     if scale == 0.0:
         return 0.0
     return commutator_norm(a, b) / scale
+
+
+def rel_gap(a: complex, b: complex) -> float:
+    """|a - b| over the larger magnitude; 0 when both are 0."""
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale > 0.0 else 0.0
 
 
 def null_space(m: np.ndarray, rel_tol: float) -> list[np.ndarray]:

@@ -1,18 +1,24 @@
 """Row transfer matrices, partition functions, and commutation scans.
 
-Two independent partition-function backends share one vertex dictionary
-(``operators.SLOTS``, read through the Lax constructors): a trace
-backend that contracts the Lax tensor of each vertex matrix along the
-shorter side of the torus, traces the auxiliary legs, and sums the
-trace of the row power over the momentum blocks of the cyclic shift,
-building only the rows at the shift's orbit representatives and only
-half of the momenta (the other half are their complex conjugates);
-and an exhaustive enumeration backend that sums the weight of every
-arrow configuration on a small torus, assigning edges vertex by vertex
-and dropping every partial configuration whose weight is already
-exactly zero.  The enumeration never forms a transfer matrix.
-Agreement between the two validates both; disagreement would expose a
-convention error immediately.
+A torus is read through its cell, a tuple of 4x4 vertex matrices:
+vertex (r, c) reads cell[(r + c) % len(cell)].  A uniform torus has one
+matrix; a staggered torus has two, the weights on sublattice X and their
+companion permutation on Y (the checkerboard model of Hsue, Lin and Wu,
+Phys. Rev. B 12, 429 (1975)).
+
+Two independent partition-function backends (``BACKENDS``) share one
+vertex dictionary (``operators.SLOTS``, read through the Lax
+constructors): a trace backend that contracts the Lax tensor of each
+vertex matrix along the shorter side of the torus, traces the auxiliary
+legs, and sums the trace of the row power over the momentum blocks of
+the cyclic shift, building only the rows at the shift's orbit
+representatives and only half of the momenta (the other half are their
+complex conjugates); and an exhaustive enumeration backend that sums
+the weight of every arrow configuration on a small torus, assigning
+edges vertex by vertex and dropping every partial configuration whose
+weight is already exactly zero.  The enumeration never forms a transfer
+matrix.  Agreement between the two validates both; disagreement would
+expose a convention error immediately.
 
 Edge layout of the enumeration backend, fixed for reproducibility:
 vertices row-major, each vertex (r, c) owning its left horizontal edge
@@ -25,7 +31,6 @@ up/right = index 0 conventions inherited from the operator module.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +65,7 @@ __all__ = [
     "staggered_transfer_pair",
     "partition_trace",
     "partition_enumerate",
-    "WuKunzReport",
+    "BACKENDS",
     "wu_kunz_check",
     "commutation_scan",
 ]
@@ -158,41 +163,32 @@ def sigma_x_string(sites: int) -> np.ndarray:
     return linalg.kron_chain([SIGMA_X.real] * sites)
 
 
-def _uniform_lax(w8: WeightsEight) -> LaxOperator:
-    return lax_asym_odd(w8) if w8.parity is Parity.ODD else lax_asym_even(w8)
+def _cell(w8: WeightsEight, staggered: bool) -> tuple[np.ndarray, ...]:
+    """The torus cell: the weights' vertex matrix, then for a staggered
+    torus their companion permutation read as the same family."""
+    lax = lax_asym_odd if w8.parity is Parity.ODD else lax_asym_even
+    points = (w8, reparity(staggered_companion(w8), w8.parity)) if staggered else (w8,)
+    return tuple(lax(p).matrix for p in points)
 
 
-def _sublattice_lax(w8: WeightsEight) -> tuple[np.ndarray, np.ndarray]:
-    """Sublattice X and Y vertex matrices: the weights, then their companion."""
-    companion = reparity(staggered_companion(w8), w8.parity)
-    return _uniform_lax(w8).matrix, _uniform_lax(companion).matrix
+def _cell_row(cell, sites: int, r: int = 0, keeps=None) -> np.ndarray:
+    """Row r of the torus, site c reading cell[(r + c) % len(cell)].
 
-
-def _staggered_rows(
-    lx: np.ndarray, ly: np.ndarray, pairs: int, keeps=None
-) -> Iterator[np.ndarray]:
-    """Rows alternating lx, ly (T1) and ly, lx (T2) over 2*pairs sites.
-
-    The chain length is checked at once; each row is built only when it
-    is drawn, so a consumer that drops T1 before drawing T2 never holds
-    both.  ``keeps`` restricts both rows as in ``_row_transfer``.
+    The chain must close on the cell, so its length is a multiple of it.
+    ``keeps`` restricts the row as in ``_row_transfer``.
     """
-    if pairs < 1 or 2 * pairs > MAX_SITES:
-        raise ValueError(f"staggered chain length {2 * pairs} outside 2..{MAX_SITES}")
-    return (_row_transfer(row, keeps) for row in ([lx, ly] * pairs, [ly, lx] * pairs))
+    if sites % len(cell):
+        raise ValueError("staggered kinds need an even chain length")
+    _check_sites(sites)
+    return _row_transfer([cell[(r + c) % len(cell)] for c in range(sites)], keeps)
 
 
 def staggered_transfer_pair(
     w8: WeightsEight, pairs: int
 ) -> tuple[TransferMatrix, TransferMatrix]:
-    """The two row transfer matrices of the staggered chain of 2*pairs sites.
-
-    T1 alternates plain/companion operators starting from the plain one,
-    T2 starts from the companion; the sublattice-Y weights are the
-    companion permutation of the input, as in the staggered equivalences.
-    """
-    t1, t2 = _staggered_rows(*_sublattice_lax(w8), pairs)
-    return TransferMatrix(t1, 2 * pairs), TransferMatrix(t2, 2 * pairs)
+    """Rows 0 and 1 (T1, T2) of the staggered torus on a chain of 2*pairs sites."""
+    cell = _cell(w8, staggered=True)
+    return tuple(TransferMatrix(_cell_row(cell, 2 * pairs, r), 2 * pairs) for r in (0, 1))
 
 
 #: SWAP on the two legs of a vertex: m[_SWAP][:, _SWAP] is S m S
@@ -306,34 +302,29 @@ def partition_trace(
 ) -> complex:
     """Torus partition function via powers of the row transfer matrix.
 
-    Uniform model: trace of T^rows.  Staggered model (rows and cols
-    even): trace of (T1 T2)^(rows/2).  The row runs along the shorter
+    The trace of (F_0 F_1 ... F_(p-1))^(rows / p), F_r the row r of the
+    cell rule and p the cell's length.  The row runs along the shorter
     side: a torus with fewer rows than cols is transposed, which swaps
     left with bottom and right with top at every vertex (each vertex
-    matrix conjugated by SWAP) and keeps the (r + c) checkerboard.  The
-    trace is summed over the momentum blocks of the cyclic shift
-    (``_shift_trace``), by one site for uniform rows and by two for
-    staggered rows, so no dense power is formed, and only the rows at
-    the orbit representatives are built: about 2^cols / cols rows of a
-    uniform row, 2^cols / (cols / 2) of a staggered one, instead of
-    2^cols.  The weights are real, so the row is float64, half the
-    momentum spectrum carries the whole trace, and the result has
+    matrix conjugated by SWAP) and keeps the cell rule.  The trace is
+    summed over the momentum blocks of the cyclic shift by p sites
+    (``_shift_trace``), so no dense power is formed, and only the rows at
+    the orbit representatives are built: about 2^cols / (cols / p) of
+    the 2^cols rows.  The weights are real, so the row is float64, half
+    the momentum spectrum carries the whole trace, and the result has
     imaginary part exactly 0.
     """
     rows, cols = lattice.rows, lattice.cols
     if staggered and (rows % 2 or cols % 2):
         raise ValueError("staggered tori need even rows and cols")
-    mats = _sublattice_lax(w8) if staggered else (_uniform_lax(w8).matrix,)
+    cell = _cell(w8, staggered)
     if rows < cols:
         rows, cols = cols, rows
-        mats = tuple(m[_SWAP][:, _SWAP] for m in mats)
+        cell = tuple(m[_SWAP][:, _SWAP] for m in cell)
     _check_sites(cols)
-    period = 2 if staggered else 1
+    period = len(cell)
     keeps = _prefix_keeps(cols, period)
-    if staggered:
-        factors = _staggered_rows(*mats, cols // 2, keeps)
-    else:
-        factors = [_row_transfer([mats[0]] * cols, keeps)]
+    factors = (_cell_row(cell, cols, r, keeps) for r in range(period))
     return _shift_trace(factors, cols, period, rows // period)
 
 
@@ -342,31 +333,28 @@ def partition_enumerate(
 ) -> complex:
     """Torus partition function by exhaustive sum over arrow configurations.
 
-    Sums the product of vertex weights over all 2^(2 rows cols) edge
-    states, built up vertex by vertex in row-major order: each vertex
-    first doubles the partial configurations once for every one of its
-    four edges not yet assigned, then multiplies in its weight and keeps
-    only the nonzero partial products.  Dropping a prefix is exact: the
-    weights are finite, so every completion of a partial product that is
-    exactly 0 is exactly 0 too, and the survivors are the plain sum's
-    products formed in the same order.  The structural zeros of the
-    vertex dictionary make each vertex of either family nonzero for one
-    parity of its four edges only, so at most half of what a vertex
-    doubles survives: the live set peaks at 2^(rows cols + 2) partial
-    configurations (2^18 at 32 edges), not 2^(2 rows cols).  An odd
-    model on an odd-by-odd torus keeps none and returns exactly 0.
+    Sums the product of vertex weights, each read by the cell rule, over
+    all 2^(2 rows cols) edge states, built up vertex by vertex in
+    row-major order: each vertex first doubles the partial configurations
+    once for every one of its four edges not yet assigned, then multiplies
+    in its weight and keeps only the nonzero partial products.  Dropping a
+    prefix is exact: the weights are finite, so every completion of a
+    partial product that is exactly 0 is exactly 0 too, and the survivors
+    are the plain sum's products formed in the same order.  The structural
+    zeros of the vertex dictionary make each vertex of either family
+    nonzero for one parity of its four edges only, so at most half of what
+    a vertex doubles survives: the live set peaks at 2^(rows cols + 2)
+    partial configurations (2^18 at 32 edges), not 2^(2 rows cols).  An
+    odd model on an odd-by-odd torus keeps none and returns exactly 0.
     Independent of the trace backend: no transfer matrix is formed.
     """
     rows, cols = lattice.rows, lattice.cols
     edges = 2 * rows * cols
     if edges > MAX_ENUM_EDGES:
         raise ValueError(f"enumeration limited to {MAX_ENUM_EDGES} edges, got {edges}")
-    if staggered:
-        if rows % 2 or cols % 2:
-            raise ValueError("staggered tori need even rows and cols")
-        lut_x, lut_y = (m4.reshape(16) for m4 in _sublattice_lax(w8))
-    else:
-        lut_x = lut_y = _uniform_lax(w8).matrix.reshape(16)
+    if staggered and (rows % 2 or cols % 2):
+        raise ValueError("staggered tori need even rows and cols")
+    luts = [m4.reshape(16) for m4 in _cell(w8, staggered)]
 
     conf = np.zeros(1, dtype=np.int64)
     prod = np.ones(1, dtype=complex)
@@ -387,62 +375,51 @@ def partition_enumerate(
             + ((conf >> right) & 1) * 2
             + ((conf >> top) & 1)
         )
-        prod *= (lut_x if (r + c) % 2 == 0 else lut_y)[code]
+        prod *= luts[(r + c) % len(luts)][code]
         keep = np.flatnonzero(prod)
         conf, prod = conf[keep], prod[keep]
     return complex(prod.sum())
 
 
-@dataclass(frozen=True)
-class WuKunzReport:
-    """Both sides of one staggered equivalence and their relative gap."""
-
-    lhs: complex
-    rhs: complex
-    rel_diff: float
-    rows: int
-    cols: int
-    parity: str
-    backend: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lhs": [self.lhs.real, self.lhs.imag],
-            "rhs": [self.rhs.real, self.rhs.imag],
-            "rel_diff": self.rel_diff,
-            "lattice": [self.rows, self.cols],
-            "model": self.parity,
-            "backend": self.backend,
-        }
+#: the partition backends by name, in the order ``partition --backend both``
+#: reports them.  Each entry names its module function, looked up when
+#: called, so that a wrapper installed on the module attribute (a
+#: profiler's span) sees every dispatched call.
+BACKENDS = {"trace": "partition_trace", "enumerate": "partition_enumerate"}
 
 
 def wu_kunz_check(
     w8: WeightsEight, lattice: LatticeSpec, backend: str = "enumerate"
-) -> WuKunzReport:
+) -> dict:
     """Uniform model of one parity against the staggered opposite-parity model.
 
     The left side is the uniform torus at the given weights; the right
     side is the staggered torus of the flipped parity with the same
     weights on sublattice X and their companion permutation on Y.  Both
-    sides use the same backend ('enumerate' or 'trace').
+    sides use the same backend, a key of ``BACKENDS``.  Returns the
+    report: both sides, their relative gap, the lattice, the model and
+    the backend.
     """
     if lattice.rows % 2 or lattice.cols % 2:
         raise ValueError("the staggered side needs an even-sized torus")
-    if backend not in ("enumerate", "trace"):
+    if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    compute = partition_enumerate if backend == "enumerate" else partition_trace
+    compute = globals()[BACKENDS[backend]]
     lhs = compute(w8, lattice, staggered=False)
-    opposite = reparity(w8, w8.parity.flipped)
-    rhs = compute(opposite, lattice, staggered=True)
-    scale = max(abs(lhs), abs(rhs))
-    rel = abs(lhs - rhs) / scale if scale > 0.0 else 0.0
-    return WuKunzReport(
-        lhs, rhs, rel, lattice.rows, lattice.cols, w8.parity.value, backend
-    )
+    rhs = compute(reparity(w8, w8.parity.flipped), lattice, staggered=True)
+    return {
+        "lhs": [lhs.real, lhs.imag],
+        "rhs": [rhs.real, rhs.imag],
+        "rel_diff": linalg.rel_gap(lhs, rhs),
+        "lattice": [lattice.rows, lattice.cols],
+        "model": w8.parity.value,
+        "backend": backend,
+    }
 
 
 _SYMMETRIC_KINDS = ("even", "odd")
-_STAGGERED_KINDS = ("stag1", "stag2", "stagprod")
+#: the rows of the staggered cell each staggered kind multiplies, in order
+_STAGGERED_ROWS = {"stag1": (0,), "stag2": (1,), "stagprod": (0, 1)}
 
 
 def _transfer_of_kind(point, kind: str, sites: int) -> np.ndarray:
@@ -451,17 +428,15 @@ def _transfer_of_kind(point, kind: str, sites: int) -> np.ndarray:
             raise ValueError("symmetric kinds take WeightsSym points")
         lax = lax_even(point) if kind == "even" else lax_odd(point)
         return transfer_matrix(lax, sites).matrix
-    if kind in _STAGGERED_KINDS:
+    if kind in _STAGGERED_ROWS:
         if isinstance(point, WeightsSym):
             point = to_eight(point)
-        if sites % 2:
-            raise ValueError("staggered kinds need an even chain length")
-        t1, t2 = staggered_transfer_pair(point, sites // 2)
-        if kind == "stag1":
-            return t1.matrix
-        if kind == "stag2":
-            return t2.matrix
-        return t1.matrix @ t2.matrix
+        cell = _cell(point, staggered=True)
+        rows = [
+            TransferMatrix(_cell_row(cell, sites, r), sites).matrix
+            for r in _STAGGERED_ROWS[kind]
+        ]
+        return functools.reduce(np.matmul, rows)
     raise ValueError(f"unknown transfer kind {kind!r}")
 
 
@@ -475,7 +450,7 @@ def _scan_bytes(points: int, sites: int, kinds: tuple[str, str]) -> int:
     built from real weights are float64 and take half.
     """
     kept = points * (1 if kinds[1] == kinds[0] else 2)
-    pair = 3 if any(kind in _STAGGERED_KINDS for kind in kinds) else 0
+    pair = 3 if any(kind in _STAGGERED_ROWS for kind in kinds) else 0
     return (kept + 3 + 2 + pair) * 16 * 4**sites
 
 

@@ -201,22 +201,22 @@ def test_criterion_5_staggered_equivalences():
     for parity in (OD, EV):
         for _ in range(20):
             w8 = WeightsEight(tuple(rng.uniform(0.2, 1.4, size=8)), parity)
-            worst_enum = max(worst_enum, wu_kunz_check(w8, lattice2).rel_diff)
+            worst_enum = max(worst_enum, wu_kunz_check(w8, lattice2)["rel_diff"])
         for _ in range(20):
             ws = WeightsSym(*rng.uniform(0.2, 1.5, size=4), parity=parity)
-            worst_enum = max(worst_enum, wu_kunz_check(to_eight(ws), lattice2).rel_diff)
+            worst_enum = max(worst_enum, wu_kunz_check(to_eight(ws), lattice2)["rel_diff"])
     worst_trace = 0.0
     for parity in (OD, EV):
         for _ in range(5):
             w8 = WeightsEight(tuple(rng.uniform(0.2, 1.4, size=8)), parity)
             worst_trace = max(
-                worst_trace, wu_kunz_check(w8, lattice4, backend="trace").rel_diff
+                worst_trace, wu_kunz_check(w8, lattice4, backend="trace")["rel_diff"]
             )
     worst_enum4 = 0.0
     for parity in (OD, EV):
         for _ in range(3):
             w8 = WeightsEight(tuple(rng.uniform(0.2, 1.4, size=8)), parity)
-            worst_enum4 = max(worst_enum4, wu_kunz_check(w8, lattice4).rel_diff)
+            worst_enum4 = max(worst_enum4, wu_kunz_check(w8, lattice4)["rel_diff"])
     elapsed = time.perf_counter() - t0
     _report(
         5,

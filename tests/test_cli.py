@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import vertex_sheaf
-from vertex_sheaf import cli, elliptic, operators
+from vertex_sheaf import cli, elliptic, operators, transfer
 from vertex_sheaf.cli import DEFAULT_THRESHOLDS, main
 
 
@@ -213,6 +213,21 @@ class TestWuKunz:
         assert code == 0
         assert rep["rel_diff"] < 1e-12
         assert rep["pass"] is True
+
+
+def test_backends_dispatch_through_the_module_attributes(capsys, monkeypatch):
+    # a wrapper installed on a module attribute, as a profiler's span is,
+    # sees every partition the table dispatches
+    calls = []
+    for name in transfer.BACKENDS.values():
+        def spy(*args, _name=name, _fn=getattr(transfer, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(transfer, name, spy)
+    run_cli(capsys, "partition", "--model", "even", "--rows", "2", "--cols", "2")
+    run_cli(capsys, "wukunz", "--backend", "trace")
+    assert calls == ["partition_trace", "partition_enumerate"] + ["partition_trace"] * 2
 
 
 class TestSampleKrinsky:

@@ -93,6 +93,21 @@ class TestCommutatorNorm:
         assert r1 == pytest.approx(r2, rel=1e-12)
 
 
+class TestRelGap:
+    def test_both_zero_is_zero(self):
+        assert linalg.rel_gap(0.0, 0j) == 0.0
+
+    def test_one_side_zero_is_one(self):
+        assert linalg.rel_gap(0.0, 3 - 4j) == 1.0
+        assert linalg.rel_gap(-2.5, 0.0) == 1.0
+
+    def test_symmetric(self, rng):
+        for _ in range(10):
+            a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+            assert linalg.rel_gap(a, b) == linalg.rel_gap(b, a)
+        assert linalg.rel_gap(2.0, 1.0) == linalg.rel_gap(1.0, 2.0) == 0.5
+
+
 class TestTraceCyclicity:
     def test_random_triples(self, rng):
         for _ in range(10):

@@ -25,7 +25,7 @@ from vertex_sheaf.operators import (
     solve_intertwiner,
     yang_baxter_residual,
 )
-from vertex_sheaf.transfer import _sublattice_lax
+from vertex_sheaf.transfer import _cell
 from vertex_sheaf.weights import (
     Parity,
     WeightsEight,
@@ -120,7 +120,7 @@ class TestLaxAsymOdd:
 
     def test_entry_placements(self):
         w8 = WeightsEight((1, 2, 3, 4, 5, 6, 7, 8), OD)
-        _, companion = _sublattice_lax(w8)
+        _, companion = _cell(w8, staggered=True)
         assert lax_asym_odd(w8).matrix[2, 0] == 5
         assert companion[2, 0] == 8
 
@@ -131,7 +131,7 @@ class TestLaxAsymOdd:
         companion_weights = staggered_companion(w8)
         # reading the permuted vector back as odd weights
         reread = WeightsEight(companion_weights.w, OD)
-        plain, companion = _sublattice_lax(w8)
+        plain, companion = _cell(w8, staggered=True)
         assert linalg.max_abs(plain - lax_asym_odd(w8).matrix) == 0.0
         assert linalg.max_abs(companion - lax_asym_odd(reread).matrix) == 0.0
 
@@ -169,7 +169,7 @@ W8 = (1, 2, 3, 4, 5, 6, 7, 8)
     (lambda: lax_asym_even(WeightsEight(W8, EV)).matrix,
      [[1, 0, 0, 7], [0, 3, 6, 0], [0, 5, 4, 0], [8, 0, 0, 2]]),
     # sublattice Y of the odd staggered row: the companion weights
-    (lambda: _sublattice_lax(WeightsEight(W8, OD))[1],
+    (lambda: _cell(WeightsEight(W8, OD), staggered=True)[1],
      [[0, 3, 6, 0], [1, 0, 0, 7], [8, 0, 0, 2], [0, 5, 4, 0]]),
 ], ids=["asym-odd", "asym-even", "odd-sublattice-y"])
 def test_vertex_dictionary_against_hand_written_matrices(build, literal):

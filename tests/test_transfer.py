@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vertex_sheaf import linalg
+from vertex_sheaf import linalg, transfer
 from vertex_sheaf.elliptic import EllipticPoint, ThetaParams, baxter_weights
 from vertex_sheaf.operators import (
     LaxOperator,
@@ -16,13 +16,12 @@ from vertex_sheaf.operators import (
 )
 from vertex_sheaf.transfer import (
     LatticeSpec,
+    _cell,
     _prefix_keeps,
     _row_transfer,
     _scan_bytes,
     _shift_orbits,
-    _sublattice_lax,
     _transfer_of_kind,
-    _uniform_lax,
     commutation_scan,
     partition_enumerate,
     partition_trace,
@@ -116,7 +115,7 @@ def trace_by_full_spectrum(w8: WeightsEight, lattice: LatticeSpec, staggered=Fal
     the conjugate symmetry of real factors.
     """
     rows, cols = lattice.rows, lattice.cols
-    mats = _sublattice_lax(w8) if staggered else (_uniform_lax(w8).matrix,)
+    mats = _cell(w8, staggered)
     if rows < cols:
         rows, cols = cols, rows
         mats = tuple(m[SWAP][:, SWAP] for m in mats)
@@ -218,7 +217,7 @@ class TestRepresentativeRows:
     @pytest.mark.parametrize("sites", range(1, 11))
     @pytest.mark.parametrize("parity", [EV, OD])
     def test_rows_equal_the_dense_rows(self, sites, parity, rng):
-        lx, ly = _sublattice_lax(random_eight(rng, parity))
+        lx, ly = _cell(random_eight(rng, parity), staggered=True)
         rows = [[lx] * sites]
         if sites % 2 == 0:
             rows += [[lx, ly] * (sites // 2), [ly, lx] * (sites // 2)]
@@ -490,10 +489,13 @@ class TestPartitionFunctions:
                 ref = enumerate_by_definition(w8, lattice)
                 z = partition_enumerate(w8, lattice)
                 assert abs(z - ref) <= 1e-14 * abs(ref), (zeros, rows, cols, z, ref)
-        w8 = random_eight(rng, parity)
-        ref = enumerate_by_definition(w8, LatticeSpec(2, 2), staggered=True)
-        z = partition_enumerate(w8, LatticeSpec(2, 2), staggered=True)
-        assert abs(z - ref) <= 1e-14 * abs(ref)
+        # the staggered cell on the square and on both oblong tori
+        for rows, cols in ((2, 2), (2, 4), (4, 2)):
+            w8 = random_eight(rng, parity)
+            lattice = LatticeSpec(rows, cols)
+            ref = enumerate_by_definition(w8, lattice, staggered=True)
+            z = partition_enumerate(w8, lattice, staggered=True)
+            assert abs(z - ref) <= 1e-14 * abs(ref), (rows, cols, z, ref)
 
     @pytest.mark.parametrize("rows,cols", [(3, 5), (5, 3)])
     def test_odd_by_odd_enumeration_is_exactly_zero(self, rows, cols, rng):
@@ -556,38 +558,37 @@ class TestWuKunz:
     def test_symmetric_point_enumeration(self):
         w8 = to_eight(WeightsSym(1, 2, 3, 4, OD))
         rep = wu_kunz_check(w8, LatticeSpec(2, 2))
-        assert rep.rel_diff < 1e-12
+        assert rep["rel_diff"] < 1e-12
 
     @pytest.mark.parametrize("parity", [OD, EV])
     def test_asymmetric_enumeration_both_directions(self, parity, rng):
         w8 = random_eight(rng, parity)
         rep = wu_kunz_check(w8, LatticeSpec(2, 2))
-        assert rep.rel_diff < 1e-12
-        assert rep.parity == parity.value
+        assert rep["rel_diff"] < 1e-12
+        assert rep["model"] == parity.value
 
     @pytest.mark.parametrize("parity", [OD, EV])
     def test_enumeration_four_by_four(self, parity, rng):
         rep = wu_kunz_check(random_eight(rng, parity), LatticeSpec(4, 4))
-        assert rep.backend == "enumerate"
-        assert rep.rel_diff < 1e-12
+        assert rep["backend"] == "enumerate"
+        assert rep["rel_diff"] < 1e-12
 
     @pytest.mark.parametrize("parity", [OD, EV])
     def test_trace_backend_four_by_four(self, parity, rng):
         w8 = random_eight(rng, parity)
         rep = wu_kunz_check(w8, LatticeSpec(4, 4), backend="trace")
-        assert rep.rel_diff < 1e-10
+        assert rep["rel_diff"] < 1e-10
 
     @pytest.mark.parametrize("shape", [(4, 12), (12, 4)])
     @pytest.mark.parametrize("parity", [OD, EV])
     def test_trace_backend_twelve_columns(self, parity, shape, rng):
         w8 = random_eight(rng, parity)
         rep = wu_kunz_check(w8, LatticeSpec(*shape), backend="trace")
-        assert rep.rel_diff < 1e-11
+        assert rep["rel_diff"] < 1e-11
 
     def test_report_serialization(self, rng):
         rep = wu_kunz_check(random_eight(rng, OD), LatticeSpec(2, 2))
-        obj = rep.to_json_dict()
-        assert set(obj) == {"lhs", "rhs", "rel_diff", "lattice", "model", "backend"}
+        assert list(rep) == ["lhs", "rhs", "rel_diff", "lattice", "model", "backend"]
 
     def test_odd_sized_torus_rejected(self, rng):
         with pytest.raises(ValueError, match="even-sized"):
@@ -628,6 +629,24 @@ class TestCommutationScan:
         finally:
             tracemalloc.stop()
         assert _scan_bytes(len(points), 10, kinds) >= peak
+
+    @pytest.mark.parametrize(
+        "kinds,rows", [(("stag1", "stag1"), 2), (("stag1", "stag2"), 4),
+                       (("stag2", "stag2"), 2), (("stagprod", "stagprod"), 4)],
+    )
+    def test_staggered_kinds_build_only_their_own_rows(self, kinds, rows, monkeypatch):
+        # stag1 and stag2 are one row of the cell each, stagprod both; two points
+        built = []
+        row_transfer = transfer._row_transfer
+
+        def counting(matrices, keeps=None):
+            built.append(len(matrices))
+            return row_transfer(matrices, keeps)
+
+        monkeypatch.setattr(transfer, "_row_transfer", counting)
+        points = [elliptic_weights(mu) for mu in (0.1, 0.3)]
+        commutation_scan(points, 4, kinds)
+        assert built == [4] * rows
 
     @pytest.mark.parametrize("kind", ["even", "odd", "stagprod"])
     def test_equal_kinds_match_the_full_grid(self, kind):
