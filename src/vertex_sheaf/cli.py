@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import linalg, transfer
-from .elliptic import EllipticPoint, GuardError, ThetaParams, baxter_weights
+from .elliptic import EllipticPoint, GuardError, baxter_weights
 from .operators import (
     functional_residuals,
     lax_odd,
@@ -109,12 +109,11 @@ def cmd_param(args, tol) -> tuple[dict, bool]:
         "c": ws.c,
         "d": ws.d,
     }
-    report.update(manifold_report(to_eight(ws)).to_json_dict())
+    report.update(manifold_report(to_eight(ws)))
     return report, True
 
 
 def cmd_ybe(args, tol) -> tuple[dict, bool]:
-    params = ThetaParams.from_modulus(args.k)
     if args.parities.strip().lower() == "all":
         triples = list(itertools.product((Parity.ODD, Parity.EVEN), repeat=3))
     else:
@@ -122,7 +121,7 @@ def cmd_ybe(args, tol) -> tuple[dict, bool]:
         if len(labels) != 3 or any(p not in _PARITY for p in labels):
             raise ValueError("parities must be three of ev/od, or 'all'")
         triples = [tuple(_PARITY[p] for p in labels)]
-    points = sheaf_weight_points(args.mu1, args.mu2, args.k, args.lam, params, args.detune)
+    points = sheaf_weight_points(args.mu1, args.mu2, args.k, args.lam, detune=args.detune)
     records = []
     for tri in triples:
         res = sheaf_yang_baxter_residual(tri, points)
@@ -155,11 +154,10 @@ def cmd_solve_r(args, tol) -> tuple[dict, bool]:
     else:
         if args.mu1 is None or args.mu2 is None:
             raise ValueError("need --mu1/--mu2 or --weights1/--weights2")
-        params = ThetaParams.from_modulus(args.k)
-        ws_p = baxter_weights(EllipticPoint(args.k, args.lam, args.mu1), params)
-        ws_pp = baxter_weights(EllipticPoint(args.k, args.lam, args.mu2), params)
+        ws_p = baxter_weights(EllipticPoint(args.k, args.lam, args.mu1))
+        ws_pp = baxter_weights(EllipticPoint(args.k, args.lam, args.mu2))
         prediction = sheaf_r_elliptic(
-            (Parity.ODD, Parity.ODD), args.k, args.lam, args.mu1 - args.mu2, params
+            (Parity.ODD, Parity.ODD), args.k, args.lam, args.mu1 - args.mu2
         )
     dim, candidates = solve_intertwiner(lax_odd(ws_p), lax_odd(ws_pp), rel_tol=tol)
     records = []
@@ -197,11 +195,8 @@ def cmd_solve_r(args, tol) -> tuple[dict, bool]:
 
 
 def cmd_commute(args, tol) -> tuple[dict, bool]:
-    params = ThetaParams.from_modulus(args.k)
     mus = [float(x) for x in args.mus.split(",") if x]
-    points = [
-        baxter_weights(EllipticPoint(args.k, args.lam, mu), params) for mu in mus
-    ]
+    points = [baxter_weights(EllipticPoint(args.k, args.lam, mu)) for mu in mus]
     kinds = tuple(args.kinds.split(","))
     if len(kinds) != 2:
         raise ValueError("--kinds needs two comma-separated transfer kinds")

@@ -12,6 +12,7 @@ is what makes mu a spectral variable.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,8 +89,9 @@ def complete_elliptic_k_comp(k: float) -> float:
 class ThetaParams:
     """Quarter periods and nome of a fixed modulus, precomputed once.
 
-    Immutable, so a single instance may be shared read-only across
-    threads sweeping spectral parameters.
+    ``from_modulus`` is cached per k, so a sweep of spectral points at
+    one modulus runs the two AGMs once while each point still derives its
+    params from its own k: no caller holds params of its own.
     """
 
     K: float
@@ -97,6 +99,7 @@ class ThetaParams:
     q: float
 
     @classmethod
+    @functools.cache
     def from_modulus(cls, k: float) -> "ThetaParams":
         if not 0.0 < k < 1.0:
             raise ValueError(f"modulus must lie in (0, 1), got {k}")
@@ -163,7 +166,7 @@ class EllipticPoint:
     lam: float
     mu: float
 
-    def validate(self, params: ThetaParams | None = None) -> ThetaParams:
+    def validate(self) -> ThetaParams:
         for name in ("k", "lam", "mu"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -172,8 +175,7 @@ class EllipticPoint:
             raise GuardError(f"modulus must lie in (0, 1), got {self.k}")
         if self.lam <= 0.0:
             raise GuardError(f"curve parameter must be positive, got {self.lam}")
-        if params is None:
-            params = ThetaParams.from_modulus(self.k)
+        params = ThetaParams.from_modulus(self.k)
         bound = GUARD_FRACTION * params.Kprime
         heights = (
             abs(self.lam),
@@ -188,9 +190,7 @@ class EllipticPoint:
         return params
 
 
-def baxter_weights(
-    point: EllipticPoint, params: ThetaParams | None = None
-) -> WeightsSym:
+def baxter_weights(point: EllipticPoint) -> WeightsSym:
     """Symmetric weights (a, b, c, d) at an elliptic point.
 
     a = -i Theta(i lam) H((i/2)(lam - mu)) Theta((i/2)(lam + mu))
@@ -202,7 +202,7 @@ def baxter_weights(
     residue is checked before the real parts are returned.  Sweeping mu
     at fixed (k, lam) leaves both quadric invariants constant.
     """
-    params = point.validate(params)
+    params = point.validate()
     lam, mu = point.lam, point.mu
     u_lam = 1j * lam
     u_minus = 0.5j * (lam - mu)

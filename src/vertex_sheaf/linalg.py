@@ -1,9 +1,7 @@
 """Dense linear algebra kernel shared by every other module.
 
 Matrices keep the dtype of their data: 4x4 operators are complex128, and
-transfer matrices are float64 for real weights.  Operations are pure
-functions over immutable inputs; nothing here keeps state, so everything
-is safe to call from concurrent workers.
+transfer matrices are float64 for real weights.
 """
 
 from __future__ import annotations
@@ -118,14 +116,14 @@ def two_site_operator(op: np.ndarray, sites: int, p: int, q: int) -> np.ndarray:
     return np.einsum(*operands, list(range(2 * sites))).reshape(dim, dim)
 
 
-def real_part(z: complex, tol: float = REAL_TOL) -> float:
+def real_part(z: complex) -> float:
     """Real part of a nominally real value.
 
-    Raises if the imaginary residue exceeds ``tol * max(1, |z|)``; the
+    Raises if the imaginary residue exceeds ``REAL_TOL * max(1, |z|)``; the
     elliptic layer computes in complex arithmetic, so genuinely real
     outputs carry only rounding-level imaginary parts.
     """
     z = complex(z)
-    if abs(z.imag) > tol * max(1.0, abs(z)):
-        raise ValueError(f"value {z} is not real within tolerance {tol}")
+    if abs(z.imag) > REAL_TOL * max(1.0, abs(z)):
+        raise ValueError(f"value {z} is not real within tolerance {REAL_TOL}")
     return z.real

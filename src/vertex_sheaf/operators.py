@@ -37,7 +37,7 @@ from typing import Iterable
 import numpy as np
 
 from . import linalg
-from .elliptic import EllipticPoint, ThetaParams, baxter_weights
+from .elliptic import EllipticPoint, baxter_weights
 from .weights import Parity, WeightsEight, WeightsSym, ev_od_swap
 
 __all__ = [
@@ -178,11 +178,7 @@ def r_sheaf(pair: tuple[Parity, Parity], ws: WeightsSym) -> np.ndarray:
 
 
 def sheaf_r_elliptic(
-    pair: tuple[Parity, Parity],
-    k: float,
-    lam: float,
-    mu: float,
-    params: ThetaParams | None = None,
+    pair: tuple[Parity, Parity], k: float, lam: float, mu: float
 ) -> np.ndarray:
     """Intertwiner family member at spectral argument ``mu``.
 
@@ -190,7 +186,7 @@ def sheaf_r_elliptic(
     module docstring for why the offset is part of the family).  At
     mu = 0 every member is proportional to a permutation-type matrix.
     """
-    ws = baxter_weights(EllipticPoint(k, lam, mu - lam), params)
+    ws = baxter_weights(EllipticPoint(k, lam, mu - lam))
     return r_sheaf(pair, ws)
 
 
@@ -280,8 +276,7 @@ def solve_intertwiner(
 
 
 def sheaf_weight_points(
-    mu1: float, mu2: float, k: float, lam: float,
-    params: ThetaParams | None = None, detune: float = 0.0,
+    mu1: float, mu2: float, k: float, lam: float, detune: float = 0.0
 ) -> tuple[WeightsSym, WeightsSym, WeightsSym]:
     """Elliptic weights of R12(mu1), R13(mu1 + mu2) and R23(mu2), each at mu - lam.
 
@@ -289,10 +284,8 @@ def sheaf_weight_points(
     three points.  ``detune`` shifts the middle argument and serves as a
     negative control.
     """
-    if params is None:
-        params = ThetaParams.from_modulus(k)
     mus = (mu1, mu1 + mu2 + detune, mu2)
-    return tuple(baxter_weights(EllipticPoint(k, lam, mu - lam), params) for mu in mus)
+    return tuple(baxter_weights(EllipticPoint(k, lam, mu - lam)) for mu in mus)
 
 
 def sheaf_yang_baxter_residual(

@@ -445,12 +445,13 @@ def _scan_bytes(points: int, sites: int, kinds: tuple[str, str]) -> int:
 
     The kept transfer matrices (one list, or two when the kinds differ),
     the last build's working set of three matrices, the two commutator
-    products, and for staggered kinds T1, T2 and their product.  Every
-    entry is counted as complex128, 16 bytes: an upper bound, since rows
-    built from real weights are float64 and take half.
+    products, and for a kind that multiplies two rows (``stagprod``) T1,
+    T2 and their product.  Every entry is counted as complex128, 16
+    bytes: an upper bound, since rows built from real weights are float64
+    and take half.
     """
     kept = points * (1 if kinds[1] == kinds[0] else 2)
-    pair = 3 if any(kind in _STAGGERED_ROWS for kind in kinds) else 0
+    pair = 3 if any(len(_STAGGERED_ROWS.get(kind, ())) == 2 for kind in kinds) else 0
     return (kept + 3 + 2 + pair) * 16 * 4**sites
 
 
@@ -462,10 +463,13 @@ def commutation_scan(
     Entry (i, j) is the relative commutator of the kinds[0] transfer
     matrix at points[i] with the kinds[1] transfer matrix at points[j],
     all on the same chain.  Equal kinds give an exactly symmetric grid
-    (|AB - BA| is |BA - AB|) with a zero diagonal: only i < j is computed.
+    (|AB - BA| is |BA - AB|) with a zero diagonal: only i < j is computed,
+    so they need at least two points, or the scan would check nothing.
     """
     if not points:
         raise ValueError("commutation scan needs at least one point")
+    if kinds[1] == kinds[0] and len(points) < 2:
+        raise ValueError("a scan of equal kinds needs at least two points")
     nbytes = _scan_bytes(len(points), sites, kinds)
     if nbytes > MAX_SCAN_BYTES:
         raise ValueError(

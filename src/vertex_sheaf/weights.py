@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "Parity",
     "UndefinedInvariantError",
-    "ManifoldReport",
     "manifold_report",
     "WeightsSym",
     "WeightsEight",
@@ -49,28 +48,6 @@ class Parity(enum.Enum):
 
 class UndefinedInvariantError(ArithmeticError):
     """A manifold invariant was requested at a vanishing denominator."""
-
-
-@dataclass(frozen=True)
-class ManifoldReport:
-    """Every manifold diagnostic of one weight point in one record.
-
-    ``gamma``/``delta`` are None when ab + cd vanishes, ``krinsky`` when
-    w5*w7 does.
-    """
-
-    gamma: float | None
-    delta: float | None
-    ff_residual: float
-    krinsky: tuple[float, float, float] | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "ff_residual": self.ff_residual,
-            "krinsky": list(self.krinsky) if self.krinsky is not None else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -112,11 +89,11 @@ def to_eight(ws: WeightsSym) -> WeightsEight:
     return WeightsEight((a, a, b, b, c, c, d, d), ws.parity)
 
 
-def symmetrize(w8: WeightsEight, tol: float = 1e-12) -> WeightsSym:
+def symmetrize(w8: WeightsEight) -> WeightsSym:
     """Inverse of :func:`to_eight`; rejects genuinely asymmetric input."""
     w = w8.as_array()
     scale = max(1.0, float(np.max(np.abs(w))))
-    if np.max(np.abs(w[0::2] - w[1::2])) > tol * scale:
+    if np.max(np.abs(w[0::2] - w[1::2])) > 1e-12 * scale:
         raise ValueError("weights are not arrow-inversion symmetric")
     return WeightsSym(w[0], w[2], w[4], w[6], w8.parity)
 
@@ -237,17 +214,26 @@ def sample_krinsky_pair(seed: int) -> tuple[WeightsEight, WeightsEight]:
     raise RuntimeError("krinsky pair sampler: draw budget exhausted")
 
 
-def manifold_report(w8: WeightsEight) -> ManifoldReport:
-    """Collect the quadric invariants and both constraint residuals."""
+def manifold_report(w8: WeightsEight) -> dict:
+    """The quadric invariants and both constraint residuals, as report fields.
+
+    ``gamma``/``delta`` are None when ab + cd vanishes or the weights are
+    not arrow-inversion symmetric, ``krinsky`` when w5*w7 vanishes.
+    """
     try:
         gamma, delta = baxter_invariants(symmetrize(w8))
     except (UndefinedInvariantError, ValueError):
         gamma = delta = None
     try:
-        krinsky = krinsky_invariants(w8)
+        krinsky = list(krinsky_invariants(w8))
     except UndefinedInvariantError:
         krinsky = None
-    return ManifoldReport(gamma, delta, free_fermion_residual(w8), krinsky)
+    return {
+        "gamma": gamma,
+        "delta": delta,
+        "ff_residual": free_fermion_residual(w8),
+        "krinsky": krinsky,
+    }
 
 
 def weights_to_json(w8: WeightsEight) -> dict:

@@ -95,7 +95,7 @@ def test_criterion_2_manifold_commutation():
     sites = 6
     mats = []
     for mu in mus:
-        ws = baxter_weights(EllipticPoint(K, LAM, mu), PARAMS)
+        ws = baxter_weights(EllipticPoint(K, LAM, mu))
         mats.append(transfer_matrix(lax_even(ws), sites).matrix)
         mats.append(transfer_matrix(lax_odd(ws), sites).matrix)
     worst = max(
@@ -123,12 +123,12 @@ def test_criterion_3_sheaf_yang_baxter():
     worst_headline = 0.0
     for _ in range(10):
         mu1, mu2 = rng.uniform(0.05, 0.3, size=2)
-        points = sheaf_weight_points(mu1, mu2, K, LAM, PARAMS)
+        points = sheaf_weight_points(mu1, mu2, K, LAM)
         res = sheaf_yang_baxter_residual((OD, OD, EV), points)
         worst_headline = max(worst_headline, res)
     sweep = {
         "".join(p.value[0] for p in tri): sheaf_yang_baxter_residual(
-            tri, sheaf_weight_points(0.2, 0.3, K, LAM, PARAMS)
+            tri, sheaf_weight_points(0.2, 0.3, K, LAM)
         )
         for tri in itertools.product((EV, OD), repeat=3)
     }
@@ -153,8 +153,8 @@ def test_criterion_4_intertwiner_discovery():
     worst_gap, worst_res = 0.0, 0.0
     for _ in range(10):
         mu_p, mu_pp = rng.uniform(0.05, 0.65, size=2)
-        ws_p = baxter_weights(EllipticPoint(K, LAM, mu_p), PARAMS)
-        ws_pp = baxter_weights(EllipticPoint(K, LAM, mu_pp), PARAMS)
+        ws_p = baxter_weights(EllipticPoint(K, LAM, mu_p))
+        ws_pp = baxter_weights(EllipticPoint(K, LAM, mu_pp))
         dim, candidates = solve_intertwiner(lax_odd(ws_p), lax_odd(ws_pp))
         if dim != 1:
             ok = False
@@ -162,7 +162,7 @@ def test_criterion_4_intertwiner_discovery():
         found = candidates[0]
         ok = ok and matches_pattern(found, "even", tol=match_tol)
         predicted = normalize_gauge(
-            sheaf_r_elliptic((OD, OD), K, LAM, mu_p - mu_pp, PARAMS)
+            sheaf_r_elliptic((OD, OD), K, LAM, mu_p - mu_pp)
         )
         worst_gap = max(worst_gap, linalg.max_abs(found - predicted))
         res = np.abs(
@@ -322,7 +322,7 @@ def test_criterion_8_elliptic_layer():
     gs, ds = [], []
     for mu in np.linspace(0.05, 0.65, 20):
         g, d = baxter_invariants(
-            baxter_weights(EllipticPoint(K, LAM, float(mu)), PARAMS)
+            baxter_weights(EllipticPoint(K, LAM, float(mu)))
         )
         gs.append(g)
         ds.append(d)

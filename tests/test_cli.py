@@ -147,6 +147,13 @@ class TestCommute:
         assert code == 2
         assert "at least one point" in rep["error"]
 
+    def test_one_point_equal_kinds_is_a_guard_error(self, capsys):
+        # its one norm is the diagonal [T, T] = 0: a pass that checked nothing
+        code, rep = run_cli(capsys, "commute", "--mus", "0.1",
+                            "--sites", "4", "--kinds", "even,even")
+        assert code == 2
+        assert "at least two points" in rep["error"]
+
     def test_scan_byte_guard(self, capsys):
         # ten kept dense 12-site matrices plus five transients, 3.75 GiB:
         # rejected before any is built

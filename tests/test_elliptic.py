@@ -190,10 +190,9 @@ class TestBaxterWeights:
         assert d1 == pytest.approx(d3, abs=1e-10)
 
     def test_invariant_sweep_constancy(self):
-        params = PARAMS_HALF
         gs, ds = [], []
         for mu in np.linspace(0.05, 0.65, 20):
-            ws = baxter_weights(EllipticPoint(0.5, 0.7, float(mu)), params)
+            ws = baxter_weights(EllipticPoint(0.5, 0.7, float(mu)))
             g, d = baxter_invariants(ws)
             gs.append(g)
             ds.append(d)
@@ -209,9 +208,12 @@ class TestBaxterWeights:
         with pytest.raises(GuardError):
             baxter_weights(EllipticPoint(0.5, 0.7, 4.2))
 
-    def test_shared_params_give_identical_values(self):
-        point = EllipticPoint(0.5, 0.7, 0.42)
-        assert baxter_weights(point) == baxter_weights(point, PARAMS_HALF)
+    def test_params_are_cached_per_modulus(self):
+        assert ThetaParams.from_modulus(0.5) is ThetaParams.from_modulus(0.5)
+        assert ThetaParams.from_modulus(0.3) is not ThetaParams.from_modulus(0.5)
+        # each point reads its own modulus, whatever was evaluated before it
+        baxter_weights(EllipticPoint(0.3, 0.7, 0.2))
+        assert baxter_weights(EllipticPoint(0.5, 0.7, 0.2)).a == 0.15184501432783612
 
 
 def test_series_cap_is_an_error():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vertex_sheaf import linalg
-from vertex_sheaf.elliptic import EllipticPoint, ThetaParams, baxter_weights
+from vertex_sheaf.elliptic import EllipticPoint, baxter_weights
 from vertex_sheaf.operators import (
     SIGMA_X,
     SLOTS,
@@ -36,12 +36,11 @@ from vertex_sheaf.weights import (
 )
 
 K, LAM = 0.5, 0.7
-PARAMS = ThetaParams.from_modulus(K)
 EV, OD = Parity.EVEN, Parity.ODD
 
 
 def elliptic_weights(mu: float) -> WeightsSym:
-    return baxter_weights(EllipticPoint(K, LAM, mu), PARAMS)
+    return baxter_weights(EllipticPoint(K, LAM, mu))
 
 
 def random_sym(rng, parity=EV) -> WeightsSym:
@@ -212,7 +211,7 @@ class TestRSheaf:
 
 class TestSheafFamilyRegularity:
     def test_value_at_zero_is_permutation_like(self):
-        m = sheaf_r_elliptic((OD, OD), K, LAM, 0.0, PARAMS)
+        m = sheaf_r_elliptic((OD, OD), K, LAM, 0.0)
         norm = normalize_gauge(m)
         perm = np.zeros((4, 4), dtype=complex)
         perm[0, 0] = perm[3, 3] = perm[1, 2] = perm[2, 1] = 1.0
@@ -222,13 +221,13 @@ class TestSheafFamilyRegularity:
         # the family at mu is the pattern filled with weights at mu - lam
         mu = 0.25
         direct = r_sheaf((OD, OD), elliptic_weights(mu - LAM))
-        assert linalg.max_abs(direct - sheaf_r_elliptic((OD, OD), K, LAM, mu, PARAMS)) == 0.0
+        assert linalg.max_abs(direct - sheaf_r_elliptic((OD, OD), K, LAM, mu)) == 0.0
 
 
 class TestYangBaxterResidual:
     def test_on_manifold_intertwiner(self):
         mu_p, mu_pp = 0.55, 0.25
-        r12 = sheaf_r_elliptic((OD, OD), K, LAM, mu_p - mu_pp, PARAMS)
+        r12 = sheaf_r_elliptic((OD, OD), K, LAM, mu_p - mu_pp)
         res = yang_baxter_residual(
             r12, lax_odd(elliptic_weights(mu_p)), lax_odd(elliptic_weights(mu_pp))
         )
@@ -243,7 +242,7 @@ class TestYangBaxterResidual:
 
     def test_coincident_points_have_the_permutation_intertwiner(self):
         ws = elliptic_weights(0.4)
-        r0 = sheaf_r_elliptic((OD, OD), K, LAM, 0.0, PARAMS)
+        r0 = sheaf_r_elliptic((OD, OD), K, LAM, 0.0)
         assert yang_baxter_residual(r0, lax_odd(ws), lax_odd(ws)) < 1e-12
 
     def test_off_manifold_negative_control(self, rng):
@@ -308,7 +307,7 @@ class TestSolveIntertwiner:
         assert abs(found[0, 3] - found[3, 0]) < 1e-8
         # entrywise match with the family prediction at the difference
         predicted = normalize_gauge(
-            sheaf_r_elliptic((OD, OD), K, LAM, mu_p - mu_pp, PARAMS)
+            sheaf_r_elliptic((OD, OD), K, LAM, mu_p - mu_pp)
         )
         assert linalg.max_abs(found - predicted) < 1e-8
 
@@ -316,7 +315,7 @@ class TestSolveIntertwiner:
         lax = lax_odd(elliptic_weights(0.3))
         dim, candidates = solve_intertwiner(lax, lax)
         assert dim >= 1
-        predicted = normalize_gauge(sheaf_r_elliptic((OD, OD), K, LAM, 0.0, PARAMS))
+        predicted = normalize_gauge(sheaf_r_elliptic((OD, OD), K, LAM, 0.0))
         gaps = [linalg.max_abs(c - predicted) for c in candidates]
         assert min(gaps) < 1e-8
 
@@ -359,7 +358,7 @@ class TestSolveIntertwiner:
 
 
 def family_points(mu1, mu2, detune=0.0):
-    return sheaf_weight_points(mu1, mu2, K, LAM, PARAMS, detune)
+    return sheaf_weight_points(mu1, mu2, K, LAM, detune=detune)
 
 
 class TestSheafYangBaxter:
@@ -392,7 +391,7 @@ class TestSheafYangBaxter:
         w12, w13, w23 = family_points(0.2, 0.3, detune=0.05)
         for pair in itertools.product((EV, OD), repeat=2):
             for ws, mu in ((w12, 0.2), (w13, 0.2 + 0.3 + 0.05), (w23, 0.3)):
-                expected = sheaf_r_elliptic(pair, K, LAM, mu, PARAMS)
+                expected = sheaf_r_elliptic(pair, K, LAM, mu)
                 assert np.array_equal(r_sheaf(pair, ws), expected)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vertex_sheaf import linalg, transfer
-from vertex_sheaf.elliptic import EllipticPoint, ThetaParams, baxter_weights
+from vertex_sheaf.elliptic import EllipticPoint, baxter_weights
 from vertex_sheaf.operators import (
     LaxOperator,
     lax_asym_even,
@@ -15,6 +15,7 @@ from vertex_sheaf.operators import (
     vertex_matrix,
 )
 from vertex_sheaf.transfer import (
+    MAX_SCAN_BYTES,
     LatticeSpec,
     _cell,
     _prefix_keeps,
@@ -42,7 +43,6 @@ from vertex_sheaf.weights import (
 )
 
 K, LAM = 0.5, 0.7
-PARAMS = ThetaParams.from_modulus(K)
 EV, OD = Parity.EVEN, Parity.ODD
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -51,7 +51,7 @@ SWAP = [0, 2, 1, 3]
 
 
 def elliptic_weights(mu: float) -> WeightsSym:
-    return baxter_weights(EllipticPoint(K, LAM, mu), PARAMS)
+    return baxter_weights(EllipticPoint(K, LAM, mu))
 
 
 def random_sym(rng, parity=EV) -> WeightsSym:
@@ -607,7 +607,7 @@ class TestCommutationScan:
         assert norms.max() < 1e-10
 
     def test_different_curve_parameter_breaks_commutation(self):
-        a = baxter_weights(EllipticPoint(K, LAM, 0.3), PARAMS)
+        a = baxter_weights(EllipticPoint(K, LAM, 0.3))
         b = baxter_weights(EllipticPoint(K, 0.45, 0.3))
         norms = commutation_scan([a, b], 4, ("even", "even"))
         assert norms[0, 1] > 1e-3
@@ -619,7 +619,8 @@ class TestCommutationScan:
         cross = commutation_scan([first, second], 4, ("stag1", "stag2"))
         assert cross[0, 1] > 1e-3
 
-    @pytest.mark.parametrize("kinds", [("even", "odd"), ("stagprod", "stagprod")])
+    @pytest.mark.parametrize("kinds", [("even", "odd"), ("stagprod", "stagprod"),
+                                       ("stag1", "stag1"), ("stag1", "stag2")])
     def test_byte_count_bounds_the_peak(self, kinds):
         points = [elliptic_weights(mu) for mu in (0.1, 0.3, 0.5)]
         tracemalloc.start()
@@ -629,6 +630,13 @@ class TestCommutationScan:
         finally:
             tracemalloc.stop()
         assert _scan_bytes(len(points), 10, kinds) >= peak
+
+    def test_single_row_kinds_count_no_product(self):
+        # stag1 and stag2 are one row each: no T1, T2, T1 T2 triple to count,
+        # so a one-point 12-site scan fits the limit (counted, not run)
+        assert _scan_bytes(1, 12, ("stag1", "stag2")) == 7 * 16 * 4**12
+        assert _scan_bytes(1, 12, ("stag1", "stag2")) <= MAX_SCAN_BYTES
+        assert _scan_bytes(1, 12, ("stagprod", "stag1")) == 10 * 16 * 4**12
 
     @pytest.mark.parametrize(
         "kinds,rows", [(("stag1", "stag1"), 2), (("stag1", "stag2"), 4),
@@ -661,5 +669,13 @@ class TestCommutationScan:
             commutation_scan([random_sym(rng)], 2, ("even", "sideways"))
 
     def test_symmetric_kind_needs_sym_weights(self, rng):
+        points = [random_eight(rng, EV), random_eight(rng, EV)]
         with pytest.raises(ValueError, match="WeightsSym"):
-            commutation_scan([random_eight(rng, EV)], 2, ("even", "even"))
+            commutation_scan(points, 2, ("even", "even"))
+
+    @pytest.mark.parametrize("kind", ["even", "stag1", "stagprod"])
+    def test_equal_kinds_need_two_points(self, kind):
+        # the one entry of a one-point equal-kind grid is the unchecked diagonal
+        with pytest.raises(ValueError, match="at least two points"):
+            commutation_scan([elliptic_weights(0.1)], 4, (kind, kind))
+        assert commutation_scan([elliptic_weights(0.1)], 4, ("even", "odd")).shape == (1, 1)
