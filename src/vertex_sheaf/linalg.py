@@ -60,12 +60,20 @@ def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return max_abs(a @ b - b @ a)
 
 
-def rel_commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Commutator norm divided by the product of the operand norms."""
+def rel_commutator_norm(a: np.ndarray, b: np.ndarray, rows=slice(None)) -> float:
+    """Commutator norm divided by the product of the operand norms.
+
+    ``rows`` (an index into the rows) forms only those rows of AB - BA.
+    The caller vouches that they hold its largest entry, as the orbit
+    representatives of a permutation that commutes with both operands do
+    (C[P r, P s] = C[r, s] for C = AB - BA); the scale is always taken
+    over the full operands.
+    """
     scale = max_abs(a) * max_abs(b)
     if scale == 0.0:
         return 0.0
-    return commutator_norm(a, b) / scale
+    a, b = np.asarray(a), np.asarray(b)
+    return max_abs(a[rows] @ b - b[rows] @ a) / scale
 
 
 def rel_gap(a: complex, b: complex) -> float:

@@ -112,25 +112,30 @@ def _row_transfer(matrices: list[np.ndarray], keeps=None) -> np.ndarray:
 
     Each matrix is read as the Lax tensor l[a, i, b, j] = m4[2a + i, 2b + j]
     (auxiliary legs a, b; quantum legs i, j), a real one when its imaginary
-    part is exactly zero: real weights give a float64 row.  The product
-    grows with its auxiliary legs open, and the last site is contracted
-    together with the trace, so the open product of the row is never formed.
+    part is exactly zero: real weights give a float64 row.  The first site
+    is the most significant bit of the row and column index.  The product
+    grows from the last site towards the first with its auxiliary legs
+    open, each new site's quantum legs becoming the leading bits of the
+    row and the column, so the long column tail J of the sites already
+    contracted stays the innermost, contiguous axis of both operands and
+    of the result.  The first site is contracted together with the trace,
+    so the open product of the row is never formed.
 
-    ``keeps`` (one boolean mask per site, from ``_prefix_keeps``) restricts
-    the row index: after each site the row prefixes that no wanted row
-    extends are dropped, and the last mask picks the wanted rows.  Every
+    ``keeps`` (one boolean mask per site, from ``_suffix_keeps``) restricts
+    the row index: after each site the row suffixes that no wanted row
+    ends with are dropped, and the last mask picks the wanted rows.  Every
     kept entry is formed by the same products as in the dense row.
     """
-    *head, last = [(m4 if m4.imag.any() else m4.real).reshape(2, 2, 2, 2) for m4 in matrices]
+    first, *tail = [(m4 if m4.imag.any() else m4.real).reshape(2, 2, 2, 2) for m4 in matrices]
     keeps = (slice(None),) * len(matrices) if keeps is None else keeps
-    acc = np.eye(2, dtype=np.result_type(*head, last)).reshape(2, 1, 2, 1)
-    for lax, keep in zip(head, keeps):
+    acc = np.eye(2, dtype=np.result_type(first, *tail)).reshape(2, 1, 2, 1)
+    for lax, keep in zip(reversed(tail), keeps):
         d = 2 * acc.shape[3]
-        acc = np.einsum("aIbJ,bicj->aIicJj", acc, lax).reshape(2, -1, 2, d)
+        acc = np.einsum("aibj,bIcJ->aiIcjJ", lax, acc).reshape(2, -1, 2, d)
         # a masked acc is strided along I; the einsums run faster on C order
         acc = np.ascontiguousarray(acc[:, keep])
     d = 2 * acc.shape[3]
-    return np.einsum("aIbJ,biaj->IiJj", acc, last).reshape(-1, d)[keeps[-1]]
+    return np.einsum("aibj,bIaJ->iIjJ", first, acc).reshape(-1, d)[keeps[-1]]
 
 
 def _check_sites(sites: int):
@@ -200,12 +205,17 @@ def _shift_orbits(sites: int, period: int) -> tuple[np.ndarray, np.ndarray]:
     """Orbits of the cyclic shift P by ``period`` sites on the 2^sites basis.
 
     Returns ``images`` (orbits x L, L = sites / period), whose row a holds
-    P^t r_a for t = 0..L-1 starting from the smallest state r_a of the
-    orbit, and ``weight`` (L x orbits), the entry [k, a] being
-    sqrt(d_a / L) where the orbit carries momentum k (k d_a = 0 mod L)
-    and exactly 0 where it does not; d_a is the orbit size, a divisor of
-    L.  Both are small next to a 2^sites matrix and read-only, since
-    every caller shares them.
+    P^t r_a for t = 0..L-1 starting from the representative r_a, the rows
+    in increasing order of r_a, and ``weight`` (L x orbits), the entry
+    [k, a] being sqrt(d_a / L) where the orbit carries momentum k
+    (k d_a = 0 mod L) and exactly 0 where it does not; d_a is the orbit
+    size, a divisor of L.  Both are small next to a 2^sites matrix and
+    read-only, since every caller shares them.
+
+    The representative is the orbit's state with the smallest bit
+    reversal: its low bits, the last sites of the chain, lead with 0s, so
+    ``_suffix_keeps`` prunes the row suffixes of the restricted build
+    from its first sites on.
     """
     length = sites // period
     states = np.arange(2**sites)
@@ -214,7 +224,8 @@ def _shift_orbits(sites: int, period: int) -> tuple[np.ndarray, np.ndarray]:
     for t in range(1, length):
         prev = images[:, t - 1]
         images[:, t] = ((prev << period) | (prev >> (sites - period))) & (2**sites - 1)
-    images = images[images.min(axis=1) == states]
+    reversed_bits = sum((states >> s & 1) << (sites - 1 - s) for s in range(sites))
+    images = images[reversed_bits[images].min(axis=1) == reversed_bits]
     sizes = length // (images == images[:, :1]).sum(axis=1)
     k = np.arange(length)[:, None]
     weight = np.where(k * sizes % length == 0, np.sqrt(sizes / length), 0.0)
@@ -223,25 +234,26 @@ def _shift_orbits(sites: int, period: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _prefix_keeps(sites: int, period: int) -> tuple[np.ndarray, ...]:
+def _suffix_keeps(sites: int, period: int) -> tuple[np.ndarray, ...]:
     """Masks that restrict ``_row_transfer`` to the orbit representatives.
 
-    The row index reads the sites from the most significant bit, so after
-    s sites a row of the representative r_a (``images[:, 0]`` of
-    ``_shift_orbits``) has the prefix r_a >> (sites - s).  Mask s - 1
-    runs over the live prefixes of s - 1 sites, each extended by one bit
-    in order, and keeps those that begin a representative; the last mask
-    keeps exactly the representatives, in increasing order.  Read-only
-    and shared, like the orbit tables.
+    The row index reads the sites from the most significant bit and the
+    row grows from the last site, so after s sites a row of the
+    representative r_a (``images[:, 0]`` of ``_shift_orbits``) has the
+    suffix r_a mod 2^s.  Mask s - 1 runs over the live suffixes of s - 1
+    sites, each extended by a leading bit, 0 for all of them and then 1,
+    and keeps those that end a representative; the last mask keeps
+    exactly the representatives, in increasing order.  Read-only and
+    shared, like the orbit tables.
     """
     reps = _shift_orbits(sites, period)[0][:, 0]
     live = np.zeros(1, dtype=np.intp)
     keeps = []
-    for s in range(1, sites + 1):
-        begins = np.zeros(2**s, dtype=bool)
-        begins[reps >> (sites - s)] = True
-        grown = (2 * live[:, None] + np.arange(2)).ravel()
-        keep = begins[grown]
+    for s in range(sites):
+        ends = np.zeros(2 ** (s + 1), dtype=bool)
+        ends[reps & (2 ** (s + 1) - 1)] = True
+        grown = (live | np.arange(2)[:, None] << s).ravel()
+        keep = ends[grown]
         live = grown[keep]
         keep.flags.writeable = False
         keeps.append(keep)
@@ -253,7 +265,7 @@ def _shift_trace(factors, sites: int, period: int, power: int) -> complex:
 
     Each factor is given by its rows at the orbit representatives, in the
     order of ``_shift_orbits`` (``_row_transfer`` restricted by
-    ``_prefix_keeps``): no other row is read, so no dense factor is ever
+    ``_suffix_keeps``): no other row is read, so no dense factor is ever
     formed.  ``factors`` may be a lazy iterable: each factor is released
     once its blocks are formed, before the next one is drawn.
 
@@ -323,7 +335,7 @@ def partition_trace(
         cell = tuple(m[_SWAP][:, _SWAP] for m in cell)
     _check_sites(cols)
     period = len(cell)
-    keeps = _prefix_keeps(cols, period)
+    keeps = _suffix_keeps(cols, period)
     factors = (_cell_row(cell, cols, r, keeps) for r in range(period))
     return _shift_trace(factors, cols, period, rows // period)
 
@@ -465,9 +477,23 @@ def commutation_scan(
     all on the same chain.  Equal kinds give an exactly symmetric grid
     (|AB - BA| is |BA - AB|) with a zero diagonal: only i < j is computed,
     so they need at least two points, or the scan would check nothing.
+    A symmetric point (``WeightsSym``) is its own staggered companion, so
+    its stag1 and stag2 rows are one matrix: when every point is
+    symmetric, stag2 is read as stag1 and those rules apply.
+
+    Every transfer matrix of the scan commutes with the cyclic shift P^p
+    of the chain, p = 1 when both kinds are symmetric and p = 2 when
+    either is staggered (the cell repeats every two sites), and so does
+    the commutator C = AB - BA: C[P^t r, P^t s] = C[r, s].  Each entry of
+    C therefore appears in a row at an orbit representative of P^p, and
+    the largest is read from those rows alone, at about 1/L of the
+    products of the dense commutator (L = sites / p).  The dense
+    matrices are still built: the scale is taken over them.
     """
     if not points:
         raise ValueError("commutation scan needs at least one point")
+    if all(isinstance(p, WeightsSym) for p in points):
+        kinds = tuple("stag1" if kind == "stag2" else kind for kind in kinds)
     if kinds[1] == kinds[0] and len(points) < 2:
         raise ValueError("a scan of equal kinds needs at least two points")
     nbytes = _scan_bytes(len(points), sites, kinds)
@@ -482,9 +508,11 @@ def commutation_scan(
         if kinds[1] == kinds[0]
         else [_transfer_of_kind(p, kinds[1], sites) for p in points]
     )
+    period = 2 if any(kind in _STAGGERED_ROWS for kind in kinds) else 1
+    reps = _shift_orbits(sites, period)[0][:, 0]
     n = len(points)
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1 if second is first else 0, n):
-            out[i, j] = linalg.rel_commutator_norm(first[i], second[j])
+            out[i, j] = linalg.rel_commutator_norm(first[i], second[j], reps)
     return out + out.T if second is first else out

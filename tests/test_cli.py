@@ -154,6 +154,14 @@ class TestCommute:
         assert code == 2
         assert "at least two points" in rep["error"]
 
+    def test_one_point_stag1_stag2_is_a_guard_error(self, capsys):
+        # at a symmetric point the two staggered rows are one matrix, so
+        # stag1,stag2 is an equal-kind scan whose one norm is the diagonal
+        code, rep = run_cli(capsys, "commute", "--mus", "0.1",
+                            "--sites", "4", "--kinds", "stag1,stag2")
+        assert code == 2
+        assert "at least two points" in rep["error"]
+
     def test_scan_byte_guard(self, capsys):
         # ten kept dense 12-site matrices plus five transients, 3.75 GiB:
         # rejected before any is built

@@ -18,10 +18,10 @@ from vertex_sheaf.transfer import (
     MAX_SCAN_BYTES,
     LatticeSpec,
     _cell,
-    _prefix_keeps,
     _row_transfer,
     _scan_bytes,
     _shift_orbits,
+    _suffix_keeps,
     _transfer_of_kind,
     commutation_scan,
     partition_enumerate,
@@ -211,7 +211,7 @@ class TestTransferMatrix:
 
 
 class TestRepresentativeRows:
-    """Rows restricted by ``_prefix_keeps`` are the dense rows at the orbit
+    """Rows restricted by ``_suffix_keeps`` are the dense rows at the orbit
     representatives, bit for bit."""
 
     @pytest.mark.parametrize("sites", range(1, 11))
@@ -223,7 +223,7 @@ class TestRepresentativeRows:
             rows += [[lx, ly] * (sites // 2), [ly, lx] * (sites // 2)]
         rows += [[m[SWAP][:, SWAP] for m in row] for row in rows]
         for period in (1, 2) if sites % 2 == 0 else (1,):
-            keeps = _prefix_keeps(sites, period)
+            keeps = _suffix_keeps(sites, period)
             reps = _shift_orbits(sites, period)[0][:, 0]
             for mats in rows:
                 assert np.array_equal(_row_transfer(mats, keeps), _row_transfer(mats)[reps])
@@ -232,7 +232,7 @@ class TestRepresentativeRows:
         real = lax_asym_odd(random_eight(rng, OD)).matrix
         mats = [real, real * np.exp(0.7j), real, real]
         for period in (1, 2):
-            rows = _row_transfer(mats, _prefix_keeps(4, period))
+            rows = _row_transfer(mats, _suffix_keeps(4, period))
             assert rows.dtype == np.complex128
             reps = _shift_orbits(4, period)[0][:, 0]
             assert np.array_equal(rows, _row_transfer(mats)[reps])
@@ -274,6 +274,14 @@ class TestRealArithmetic:
         assert t.dtype == np.complex128
         ref = row_transfer_by_definition(mats)
         assert linalg.max_abs(t - ref) <= 1e-14 * linalg.max_abs(ref)
+
+    @pytest.mark.parametrize("sites", range(1, 11))
+    def test_odd_transfer_is_the_even_one_reversed_exactly(self, sites, rng):
+        # T_od = S T_ev entry for entry: the odd Lax tensor is the even one
+        # with its row leg flipped, and the kernel forms the same products
+        ws = random_sym(rng)
+        t_ev = transfer_matrix(lax_even(ws), sites).matrix
+        assert np.array_equal(transfer_matrix(lax_odd(ws), sites).matrix, t_ev[::-1])
 
     @pytest.mark.parametrize("sites", [1, 3, 6, 9])
     def test_spin_flip_string_reverses_rows_exactly(self, sites, rng):
@@ -466,13 +474,13 @@ class TestPartitionFunctions:
         assert np.count_nonzero(weight) == 2**sites
         assert _shift_orbits(sites, period) is _shift_orbits(sites, period)
         assert not images.flags.writeable and not weight.flags.writeable
-        # the prefix masks, chained from the empty prefix, end at the representatives
-        keeps = _prefix_keeps(sites, period)
-        assert _prefix_keeps(sites, period) is keeps and len(keeps) == sites
+        # the suffix masks, chained from the empty suffix, end at the representatives
+        keeps = _suffix_keeps(sites, period)
+        assert _suffix_keeps(sites, period) is keeps and len(keeps) == sites
         assert not any(keep.flags.writeable for keep in keeps)
         live = np.zeros(1, dtype=np.intp)
-        for keep in keeps:
-            live = (2 * live[:, None] + np.arange(2)).ravel()[keep]
+        for s, keep in enumerate(keeps):
+            live = (live | np.arange(2)[:, None] << s).ravel()[keep]
         assert np.array_equal(live, images[:, 0])
 
     @pytest.mark.parametrize("parity", [EV, OD])
@@ -639,11 +647,12 @@ class TestCommutationScan:
         assert _scan_bytes(1, 12, ("stagprod", "stag1")) == 10 * 16 * 4**12
 
     @pytest.mark.parametrize(
-        "kinds,rows", [(("stag1", "stag1"), 2), (("stag1", "stag2"), 4),
+        "kinds,rows", [(("stag1", "stag1"), 2), (("stag1", "stag2"), 2),
                        (("stag2", "stag2"), 2), (("stagprod", "stagprod"), 4)],
     )
     def test_staggered_kinds_build_only_their_own_rows(self, kinds, rows, monkeypatch):
-        # stag1 and stag2 are one row of the cell each, stagprod both; two points
+        # stag1 and stag2 are one row of the cell each, stagprod both; two
+        # symmetric points, at which stag2 is read as stag1: one list of rows
         built = []
         row_transfer = transfer._row_transfer
 
@@ -658,11 +667,46 @@ class TestCommutationScan:
 
     @pytest.mark.parametrize("kind", ["even", "odd", "stagprod"])
     def test_equal_kinds_match_the_full_grid(self, kind):
-        # the full n x n loop, as before the scan mirrored the upper triangle
+        # the full n x n loop of the same statistic, as before the scan
+        # mirrored the upper triangle
         points = [elliptic_weights(mu) for mu in (0.1, 0.25, 0.4)]
         mats = [_transfer_of_kind(p, kind, 6) for p in points]
-        full = np.array([[linalg.rel_commutator_norm(a, b) for b in mats] for a in mats])
+        reps = _shift_orbits(6, 2 if kind == "stagprod" else 1)[0][:, 0]
+        full = np.array([[linalg.rel_commutator_norm(a, b, reps) for b in mats] for a in mats])
         assert np.array_equal(commutation_scan(points, 6, (kind, kind)), full)
+
+    @pytest.mark.parametrize(
+        "kinds,sites",
+        [(("even", "odd"), n) for n in range(4, 11)]
+        + [(kinds, n) for kinds in (("stag1", "stag1"), ("stagprod", "stagprod"))
+           for n in (4, 6, 8, 10)],
+    )
+    def test_representative_rows_match_the_dense_commutator(self, kinds, sites, rng):
+        # two routes to one statistic: the scan reads the commutator's rows at
+        # the orbit representatives, the reference forms all of AB - BA
+        def dense(points):
+            first = [_transfer_of_kind(p, kinds[0], sites) for p in points]
+            second = [_transfer_of_kind(p, kinds[1], sites) for p in points]
+            return np.array([[linalg.rel_commutator_norm(a, b) for b in second]
+                             for a in first])
+
+        on = [elliptic_weights(mu) for mu in (0.1, 0.4)]
+        scan = commutation_scan(on, sites, kinds)
+        assert scan.max() < 1e-13 and dense(on).max() < 1e-13
+        # two curves, or for the staggered kinds asymmetric points, whose rows
+        # commute with the shift by two sites only: about half of their pairs
+        # have the largest entry in a row that the orbits of the shift by one
+        # site would miss, so the small chains take fifteen pairs.  A point
+        # against itself (the diagonal of even, odd) commutes.
+        if kinds[0] == "even":
+            off = [baxter_weights(EllipticPoint(K, lam, 0.3)) for lam in (LAM, 0.45)]
+        else:
+            off = [random_eight(rng, OD) for _ in range(6 if sites <= 6 else 2)]
+        scan, ref = commutation_scan(off, sites, kinds), dense(off)
+        across = ~np.eye(len(off), dtype=bool)
+        assert np.all(ref[across] > 1e-3)
+        assert np.all(np.abs(scan - ref)[across] <= 1e-12 * ref[across])
+        assert scan[~across].max() < 1e-13 and ref[~across].max() < 1e-13
 
     def test_kind_validation(self, rng):
         with pytest.raises(ValueError, match="unknown transfer kind"):
