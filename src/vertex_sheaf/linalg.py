@@ -12,7 +12,6 @@ __all__ = [
     "as_matrix",
     "max_abs",
     "kron_chain",
-    "commutator_norm",
     "rel_commutator_norm",
     "rel_gap",
     "null_space",
@@ -52,27 +51,21 @@ def kron_chain(mats) -> np.ndarray:
     return out
 
 
-def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """``max_abs(AB - BA)``.  Exactly zero when the operands commute."""
+def rel_commutator_norm(a: np.ndarray, b: np.ndarray, rows=slice(None)) -> float:
+    """``max_abs(AB - BA)`` divided by the product of the operand norms.
+
+    Exactly zero when the operands commute.  ``rows`` (an index into the
+    rows) forms only those rows of AB - BA.  The caller vouches that they
+    hold its largest entry, as the orbit representatives of a permutation
+    that commutes with both operands do (C[P r, P s] = C[r, s] for
+    C = AB - BA); the scale is always taken over the full operands.
+    """
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return max_abs(a @ b - b @ a)
-
-
-def rel_commutator_norm(a: np.ndarray, b: np.ndarray, rows=slice(None)) -> float:
-    """Commutator norm divided by the product of the operand norms.
-
-    ``rows`` (an index into the rows) forms only those rows of AB - BA.
-    The caller vouches that they hold its largest entry, as the orbit
-    representatives of a permutation that commutes with both operands do
-    (C[P r, P s] = C[r, s] for C = AB - BA); the scale is always taken
-    over the full operands.
-    """
     scale = max_abs(a) * max_abs(b)
     if scale == 0.0:
         return 0.0
-    a, b = np.asarray(a), np.asarray(b)
     return max_abs(a[rows] @ b - b[rows] @ a) / scale
 
 

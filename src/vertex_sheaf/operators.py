@@ -1,10 +1,11 @@
 """Local 4x4 operators and the Yang-Baxter layer.
 
-Builds the symmetric even/odd Lax matrices, the asymmetric odd Lax pair
-of the staggered chain, the four-member intertwiner family labelled by
-parity pairs, and everything needed to test the Yang-Baxter equation
-numerically: leg embeddings, residuals, the six functional relations,
-and an SVD kernel solver that discovers the intertwiner from scratch.
+Builds the symmetric even/odd Lax matrices, the one eight-weight Lax
+constructor (its family is the weights' parity), the four-member
+intertwiner family labelled by parity pairs, and everything needed to
+test the Yang-Baxter equation numerically: leg embeddings, residuals,
+the six functional relations, and an SVD kernel solver that discovers
+the intertwiner from scratch.
 The solver's 64x16 linear system is two einsum contractions of the
 embedded Lax products with an identity.
 
@@ -50,8 +51,7 @@ __all__ = [
     "matches_pattern",
     "lax_even",
     "lax_odd",
-    "lax_asym_odd",
-    "lax_asym_even",
+    "lax_asym",
     "r_sheaf",
     "sheaf_r_elliptic",
     "yang_baxter_residual",
@@ -132,35 +132,22 @@ def lax_odd(ws: WeightsSym) -> LaxOperator:
     return LaxOperator(odd_pattern(*ws.as_tuple()), (Parity.ODD, Parity.EVEN))
 
 
-def _lax_asym(w8: WeightsEight, parity: Parity) -> LaxOperator:
-    kind = parity.value
-    if w8.parity is not parity:
-        raise ValueError(f"asymmetric {kind} operator needs {kind}-family weights")
-    return LaxOperator(vertex_matrix(kind, w8.w), (parity, Parity.EVEN))
+def lax_asym(w8: WeightsEight) -> LaxOperator:
+    """Asymmetric vertex operator: the eight weights on their family's pattern.
 
-
-def lax_asym_odd(w8: WeightsEight) -> LaxOperator:
-    """Asymmetric odd vertex operator (sublattice X of the staggered chain).
-
-    The eight weights on the odd ``SLOTS`` pattern; reduces to the
-    symmetric odd operator at arrow-inversion symmetric weights.
+    The family is the weights' parity: odd weights fill the odd ``SLOTS``
+    pattern (sublattice X of the staggered chain), even weights the even
+    one, the staggered-equivalence partner.  At arrow-inversion symmetric
+    weights either reduces to the symmetric operator of its family.  The
+    even entry dictionary is pinned by two requirements: the symmetric
+    limit is the even operator above, and flipping one vertical leg per
+    vertex turns a uniform odd torus into the staggered even torus with
+    the companion weights on sublattice Y (which makes the staggered
+    partition equivalences exact identities, checked by enumeration in
+    the tests).  Equivalently the even matrix equals the odd one at the
+    same weights times (I (x) sx).
     """
-    return _lax_asym(w8, Parity.ODD)
-
-
-def lax_asym_even(w8: WeightsEight) -> LaxOperator:
-    """Asymmetric even vertex operator, the staggered-equivalence partner.
-
-    The eight weights on the even ``SLOTS`` pattern.  The entry
-    dictionary is pinned by two requirements: the symmetric limit is the
-    even operator above, and flipping one vertical leg per vertex turns
-    a uniform odd torus into the staggered even torus with the companion
-    weights on sublattice Y (which makes the staggered partition
-    equivalences exact identities, checked by enumeration in the tests).
-    Equivalently it equals the plain asymmetric odd matrix times
-    (I (x) sx).
-    """
-    return _lax_asym(w8, Parity.EVEN)
+    return LaxOperator(vertex_matrix(w8.parity.value, w8.w), (w8.parity, Parity.EVEN))
 
 
 def r_sheaf(pair: tuple[Parity, Parity], ws: WeightsSym) -> np.ndarray:

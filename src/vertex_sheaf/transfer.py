@@ -7,8 +7,8 @@ companion permutation on Y (the checkerboard model of Hsue, Lin and Wu,
 Phys. Rev. B 12, 429 (1975)).
 
 Two independent partition-function backends (``BACKENDS``) share one
-vertex dictionary (``operators.SLOTS``, read through the Lax
-constructors): a trace backend that contracts the Lax tensor of each
+vertex dictionary (``operators.SLOTS``, read through
+``lax_asym``): a trace backend that contracts the Lax tensor of each
 vertex matrix along the shorter side of the torus, traces the auxiliary
 legs, and sums the trace of the row power over the momentum blocks of
 the cyclic shift, building only the rows at the shift's orbit
@@ -36,22 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .operators import (
-    SIGMA_X,
-    LaxOperator,
-    lax_asym_even,
-    lax_asym_odd,
-    lax_even,
-    lax_odd,
-)
-from .weights import (
-    Parity,
-    WeightsEight,
-    WeightsSym,
-    reparity,
-    staggered_companion,
-    to_eight,
-)
+from .operators import SIGMA_X, LaxOperator, lax_asym, lax_even, lax_odd
+from .weights import WeightsEight, WeightsSym, reparity, staggered_companion, to_eight
 
 __all__ = [
     "MAX_SITES",
@@ -145,8 +131,7 @@ def _check_sites(sites: int):
 
 def transfer_matrix(lax: LaxOperator, sites: int) -> TransferMatrix:
     """Trace of the ordered product of one Lax operator along a row."""
-    _check_sites(sites)
-    return TransferMatrix(_row_transfer([lax.matrix] * sites), sites)
+    return TransferMatrix(_cell_row((lax.matrix,), sites), sites)
 
 
 def transfer_family(lax: LaxOperator, max_sites: int) -> list[TransferMatrix]:
@@ -156,10 +141,7 @@ def transfer_family(lax: LaxOperator, max_sites: int) -> list[TransferMatrix]:
     of the arithmetic of the largest one.
     """
     _check_sites(max_sites)
-    return [
-        TransferMatrix(_row_transfer([lax.matrix] * sites), sites)
-        for sites in range(1, max_sites + 1)
-    ]
+    return [transfer_matrix(lax, sites) for sites in range(1, max_sites + 1)]
 
 
 def sigma_x_string(sites: int) -> np.ndarray:
@@ -171,9 +153,8 @@ def sigma_x_string(sites: int) -> np.ndarray:
 def _cell(w8: WeightsEight, staggered: bool) -> tuple[np.ndarray, ...]:
     """The torus cell: the weights' vertex matrix, then for a staggered
     torus their companion permutation read as the same family."""
-    lax = lax_asym_odd if w8.parity is Parity.ODD else lax_asym_even
     points = (w8, reparity(staggered_companion(w8), w8.parity)) if staggered else (w8,)
-    return tuple(lax(p).matrix for p in points)
+    return tuple(lax_asym(p).matrix for p in points)
 
 
 def _cell_row(cell, sites: int, r: int = 0, keeps=None) -> np.ndarray:
@@ -456,15 +437,16 @@ def _scan_bytes(points: int, sites: int, kinds: tuple[str, str]) -> int:
     """Bytes of dense matrices a commutation scan may hold, counted as if at once.
 
     The kept transfer matrices (one list, or two when the kinds differ),
-    the last build's working set of three matrices, the two commutator
-    products, and for a kind that multiplies two rows (``stagprod``) T1,
-    T2 and their product.  Every entry is counted as complex128, 16
-    bytes: an upper bound, since rows built from real weights are float64
-    and take half.
+    the last build's working set of three matrices, and for a kind that
+    multiplies two rows (``stagprod``) one more: T1, held while T2 builds.
+    Their product is the kept matrix, and the commutator products are
+    formed only at the orbit-representative rows, a fraction of one
+    matrix.  Every entry is counted as complex128, 16 bytes: an upper
+    bound, since rows built from real weights are float64 and take half.
     """
     kept = points * (1 if kinds[1] == kinds[0] else 2)
-    pair = 3 if any(len(_STAGGERED_ROWS.get(kind, ())) == 2 for kind in kinds) else 0
-    return (kept + 3 + 2 + pair) * 16 * 4**sites
+    pair = 1 if any(len(_STAGGERED_ROWS.get(kind, ())) == 2 for kind in kinds) else 0
+    return (kept + 3 + pair) * 16 * 4**sites
 
 
 def commutation_scan(

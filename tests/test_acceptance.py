@@ -21,7 +21,7 @@ from vertex_sheaf.elliptic import (
 )
 from vertex_sheaf.operators import (
     functional_residuals,
-    lax_asym_odd,
+    lax_asym,
     lax_even,
     lax_odd,
     matches_pattern,
@@ -242,7 +242,7 @@ def test_criterion_6_odd_torus_vanishing():
     for rows in (3, 5):
         w8 = WeightsEight(tuple(rng.uniform(0.2, 1.4, size=8)), OD)
         z = partition_trace(w8, LatticeSpec(rows, rows))
-        t = transfer_matrix(lax_asym_odd(w8), rows).matrix
+        t = transfer_matrix(lax_asym(w8), rows).matrix
         scale = linalg.max_abs(t) ** rows * 2**rows
         ok = ok and abs(z) < 1e-12 * scale
         details.append(f"trace {rows}x{rows} |Z|/scale {abs(z) / scale:.1e}")

@@ -163,12 +163,12 @@ class TestCommute:
         assert "at least two points" in rep["error"]
 
     def test_scan_byte_guard(self, capsys):
-        # ten kept dense 12-site matrices plus five transients, 3.75 GiB:
+        # ten kept dense 12-site matrices plus three transients, 3.25 GiB:
         # rejected before any is built
         code, rep = run_cli(capsys, "commute", "--sites", "12",
                             "--mus", "0.1,0.2,0.3,0.4,0.5", "--kinds", "even,odd")
         assert code == 2
-        assert str(15 * 16 * 4**12) in rep["error"]
+        assert str(13 * 16 * 4**12) in rep["error"]
 
 
 class TestPartition:

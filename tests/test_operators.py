@@ -11,8 +11,7 @@ from vertex_sheaf.operators import (
     LaxOperator,
     even_pattern,
     functional_residuals,
-    lax_asym_even,
-    lax_asym_odd,
+    lax_asym,
     lax_even,
     lax_odd,
     matches_pattern,
@@ -31,6 +30,7 @@ from vertex_sheaf.weights import (
     WeightsEight,
     WeightsSym,
     ev_od_swap,
+    reparity,
     staggered_companion,
     to_eight,
 )
@@ -111,16 +111,19 @@ class TestLaxOdd:
         assert matches_pattern(lax_odd(random_sym(rng)).matrix, "odd", tol=0.0)
 
 
-class TestLaxAsymOdd:
-    def test_symmetric_specialization(self, rng):
-        ws = random_sym(rng, parity=OD)
-        asym = lax_asym_odd(to_eight(ws)).matrix
-        assert linalg.max_abs(asym - lax_odd(ws).matrix) == 0.0
+class TestLaxAsym:
+    @pytest.mark.parametrize("parity", [EV, OD])
+    def test_symmetric_specialization(self, parity, rng):
+        # either family reduces to its symmetric operator at symmetric weights
+        ws = random_sym(rng)
+        asym = lax_asym(reparity(to_eight(ws), parity)).matrix
+        sym = lax_even(ws) if parity is EV else lax_odd(ws)
+        assert linalg.max_abs(asym - sym.matrix) == 0.0
 
     def test_entry_placements(self):
         w8 = WeightsEight((1, 2, 3, 4, 5, 6, 7, 8), OD)
         _, companion = _cell(w8, staggered=True)
-        assert lax_asym_odd(w8).matrix[2, 0] == 5
+        assert lax_asym(w8).matrix[2, 0] == 5
         assert companion[2, 0] == 8
 
     def test_companion_is_plain_at_permuted_weights(self):
@@ -131,41 +134,25 @@ class TestLaxAsymOdd:
         # reading the permuted vector back as odd weights
         reread = WeightsEight(companion_weights.w, OD)
         plain, companion = _cell(w8, staggered=True)
-        assert linalg.max_abs(plain - lax_asym_odd(w8).matrix) == 0.0
-        assert linalg.max_abs(companion - lax_asym_odd(reread).matrix) == 0.0
-
-    def test_parity_guard(self):
-        with pytest.raises(ValueError, match="odd"):
-            lax_asym_odd(WeightsEight((1,) * 8, EV))
-
-
-class TestLaxAsymEven:
-    def test_symmetric_specialization(self, rng):
-        ws = random_sym(rng)
-        assert linalg.max_abs(
-            lax_asym_even(to_eight(ws)).matrix - lax_even(ws).matrix
-        ) == 0.0
+        assert linalg.max_abs(plain - lax_asym(w8).matrix) == 0.0
+        assert linalg.max_abs(companion - lax_asym(reread).matrix) == 0.0
 
     def test_vertical_flip_relation_to_odd(self):
         # the even dictionary is the odd one with the top leg flipped
         vals = (1, 2, 3, 4, 5, 6, 7, 8)
-        even_m = lax_asym_even(WeightsEight(vals, EV)).matrix
-        odd_m = lax_asym_odd(WeightsEight(vals, OD)).matrix
+        even_m = lax_asym(WeightsEight(vals, EV)).matrix
+        odd_m = lax_asym(WeightsEight(vals, OD)).matrix
         flip_top = np.kron(np.eye(2), SIGMA_X)
         assert linalg.max_abs(even_m - odd_m @ flip_top) == 0.0
-
-    def test_parity_guard(self):
-        with pytest.raises(ValueError, match="even"):
-            lax_asym_even(WeightsEight((1,) * 8, OD))
 
 
 W8 = (1, 2, 3, 4, 5, 6, 7, 8)
 
 
 @pytest.mark.parametrize("build,literal", [
-    (lambda: lax_asym_odd(WeightsEight(W8, OD)).matrix,
+    (lambda: lax_asym(WeightsEight(W8, OD)).matrix,
      [[0, 1, 7, 0], [3, 0, 0, 6], [5, 0, 0, 4], [0, 8, 2, 0]]),
-    (lambda: lax_asym_even(WeightsEight(W8, EV)).matrix,
+    (lambda: lax_asym(WeightsEight(W8, EV)).matrix,
      [[1, 0, 0, 7], [0, 3, 6, 0], [0, 5, 4, 0], [8, 0, 0, 2]]),
     # sublattice Y of the odd staggered row: the companion weights
     (lambda: _cell(WeightsEight(W8, OD), staggered=True)[1],

@@ -8,8 +8,7 @@ from vertex_sheaf import linalg, transfer
 from vertex_sheaf.elliptic import EllipticPoint, baxter_weights
 from vertex_sheaf.operators import (
     LaxOperator,
-    lax_asym_even,
-    lax_asym_odd,
+    lax_asym,
     lax_even,
     lax_odd,
     vertex_matrix,
@@ -85,9 +84,8 @@ def enumerate_by_definition(w8: WeightsEight, lattice: LatticeSpec, staggered=Fa
     with the companion weights on the odd sublattice of a staggered torus.
     """
     rows, cols = lattice.rows, lattice.cols
-    lax = lax_asym_odd if w8.parity is OD else lax_asym_even
-    mx = lax(w8).matrix.tolist()
-    my = lax(reparity(staggered_companion(w8), w8.parity)).matrix.tolist() if staggered else mx
+    mx = lax_asym(w8).matrix.tolist()
+    my = lax_asym(reparity(staggered_companion(w8), w8.parity)).matrix.tolist() if staggered else mx
     vertices = []
     for r in range(rows):
         for c in range(cols):
@@ -184,15 +182,19 @@ class TestTransferMatrix:
         with pytest.raises(ValueError, match="chain length"):
             transfer_matrix(lax_even(random_sym(rng)), 13)
 
+    @pytest.mark.parametrize("max_sites", [0, 13])
+    def test_family_site_guard(self, max_sites, rng):
+        with pytest.raises(ValueError, match="chain length"):
+            transfer_family(lax_even(random_sym(rng)), max_sites)
+
     @pytest.mark.parametrize("parity", [EV, OD])
     def test_entries_match_the_sum_over_auxiliary_strings(self, parity, rng):
         w8 = random_eight(rng, parity)
-        lax = lax_asym_odd if parity is OD else lax_asym_even
-        lx = lax(w8).matrix
-        ly = lax(reparity(staggered_companion(w8), parity)).matrix
+        lx = lax_asym(w8).matrix
+        ly = lax_asym(reparity(staggered_companion(w8), parity)).matrix
         t1, t2 = staggered_transfer_pair(w8, 2)
         for built, mats in (
-            (transfer_matrix(lax(w8), 3).matrix, [lx] * 3),
+            (transfer_matrix(lax_asym(w8), 3).matrix, [lx] * 3),
             (t1.matrix, [lx, ly, lx, ly]),
             (t2.matrix, [ly, lx, ly, lx]),
         ):
@@ -229,7 +231,7 @@ class TestRepresentativeRows:
                 assert np.array_equal(_row_transfer(mats, keeps), _row_transfer(mats)[reps])
 
     def test_mixed_real_complex_row(self, rng):
-        real = lax_asym_odd(random_eight(rng, OD)).matrix
+        real = lax_asym(random_eight(rng, OD)).matrix
         mats = [real, real * np.exp(0.7j), real, real]
         for period in (1, 2):
             rows = _row_transfer(mats, _suffix_keeps(4, period))
@@ -244,14 +246,13 @@ class TestRealArithmetic:
     @pytest.mark.parametrize("parity", [EV, OD])
     def test_real_weights_give_float64_rows(self, parity, rng):
         w8 = random_eight(rng, parity)
-        lax = lax_asym_odd if parity is OD else lax_asym_even
-        lx = lax(w8).matrix
-        ly = lax(reparity(staggered_companion(w8), parity)).matrix
+        lx = lax_asym(w8).matrix
+        ly = lax_asym(reparity(staggered_companion(w8), parity)).matrix
         t1, t2 = staggered_transfer_pair(w8, 2)
-        family = transfer_family(lax(w8), 4)
+        family = transfer_family(lax_asym(w8), 4)
         built = [(t.matrix, [lx] * t.sites) for t in family]
         built += [(t1.matrix, [lx, ly, lx, ly]), (t2.matrix, [ly, lx, ly, lx])]
-        built.append((transfer_matrix(lax(w8), 4).matrix, [lx] * 4))
+        built.append((transfer_matrix(lax_asym(w8), 4).matrix, [lx] * 4))
         for matrix, mats in built:
             assert matrix.dtype == np.float64
             ref = row_transfer_by_definition(mats)
@@ -267,7 +268,7 @@ class TestRealArithmetic:
         assert linalg.max_abs(t - ref) <= 1e-14 * linalg.max_abs(ref)
 
     def test_one_complex_site_makes_the_row_complex(self, rng):
-        real = lax_asym_odd(random_eight(rng, OD)).matrix
+        real = lax_asym(random_eight(rng, OD)).matrix
         phased = real * np.exp(0.7j)
         mats = [real, phased, real, real]
         t = _row_transfer(mats)
@@ -306,7 +307,7 @@ class TestSigmaXString:
         s = sigma_x_string(sites)
         for lax in (lax_even(ws), lax_odd(ws)):
             t = transfer_matrix(lax, sites).matrix
-            assert linalg.commutator_norm(t, s) < 1e-12 * max(1.0, linalg.max_abs(t))
+            assert linalg.max_abs(t @ s - s @ t) < 1e-12 * max(1.0, linalg.max_abs(t))
 
 
 class TestStaggeredTransferPair:
@@ -362,7 +363,7 @@ class TestPartitionFunctions:
         w8 = random_eight(rng, OD)
         lattice = LatticeSpec(3, 3)
         assert partition_enumerate(w8, lattice) == 0.0
-        t = transfer_matrix(lax_asym_odd(w8), 3).matrix
+        t = transfer_matrix(lax_asym(w8), 3).matrix
         scale = linalg.max_abs(t) ** 3 * 8
         assert abs(partition_trace(w8, lattice)) < 1e-12 * scale
 
@@ -422,7 +423,6 @@ class TestPartitionFunctions:
         # every torus with both sides <= 6 in both orientations, against the
         # dense power of the row transfer matrix built along the columns
         sides = (2, 4, 6) if staggered else range(1, 7)
-        lax = lax_asym_odd if parity is OD else lax_asym_even
         for rows, cols in itertools.product(sides, repeat=2):
             w8 = random_eight(rng, parity)
             z = partition_trace(w8, LatticeSpec(rows, cols), staggered=staggered)
@@ -430,7 +430,7 @@ class TestPartitionFunctions:
                 t1, t2 = staggered_transfer_pair(w8, cols // 2)
                 t, power = t1.matrix @ t2.matrix, rows // 2
             else:
-                t, power = transfer_matrix(lax(w8), cols).matrix, rows
+                t, power = transfer_matrix(lax_asym(w8), cols).matrix, rows
             ref = complex(np.trace(np.linalg.matrix_power(t, power)))
             if parity is OD and rows % 2 and cols % 2:
                 scale = linalg.max_abs(t) ** rows * 2**cols
@@ -627,10 +627,19 @@ class TestCommutationScan:
         cross = commutation_scan([first, second], 4, ("stag1", "stag2"))
         assert cross[0, 1] > 1e-3
 
-    @pytest.mark.parametrize("kinds", [("even", "odd"), ("stagprod", "stagprod"),
-                                       ("stag1", "stag1"), ("stag1", "stag2")])
-    def test_byte_count_bounds_the_peak(self, kinds):
-        points = [elliptic_weights(mu) for mu in (0.1, 0.3, 0.5)]
+    @pytest.mark.parametrize("kinds,family", [
+        (("even", "odd"), "elliptic"), (("stagprod", "stagprod"), "elliptic"),
+        (("stag1", "stag1"), "elliptic"), (("stag1", "stag2"), "elliptic"),
+        (("stag1", "stag2"), "krinsky"), (("even", "odd"), "complex"),
+    ])
+    def test_byte_count_bounds_the_peak(self, kinds, family, rng):
+        if family == "elliptic":
+            points = [elliptic_weights(mu) for mu in (0.1, 0.3, 0.5)]
+        elif family == "krinsky":  # distinct eight-weight points: stag2 is its own row
+            points = list(sample_krinsky_pair(5))
+        else:  # complex weights build complex128 rows, twice the bytes of real ones
+            phases = np.exp(1j * rng.uniform(0.1, 3.0, size=(3, 4)))
+            points = [WeightsSym(*w) for w in rng.uniform(0.2, 1.5, size=(3, 4)) * phases]
         tracemalloc.start()
         try:
             commutation_scan(points, 10, kinds)
@@ -640,11 +649,17 @@ class TestCommutationScan:
         assert _scan_bytes(len(points), 10, kinds) >= peak
 
     def test_single_row_kinds_count_no_product(self):
-        # stag1 and stag2 are one row each: no T1, T2, T1 T2 triple to count,
-        # so a one-point 12-site scan fits the limit (counted, not run)
-        assert _scan_bytes(1, 12, ("stag1", "stag2")) == 7 * 16 * 4**12
+        # stag1 and stag2 are one row each: no T1 held while T2 builds, so a
+        # one-point 12-site scan fits the limit (counted, not run)
+        assert _scan_bytes(1, 12, ("stag1", "stag2")) == 5 * 16 * 4**12
         assert _scan_bytes(1, 12, ("stag1", "stag2")) <= MAX_SCAN_BYTES
-        assert _scan_bytes(1, 12, ("stagprod", "stag1")) == 10 * 16 * 4**12
+        assert _scan_bytes(1, 12, ("stagprod", "stag1")) == 6 * 16 * 4**12
+
+    def test_two_point_twelve_site_scan_fits(self):
+        # four kept matrices and the build's three: the commutator products
+        # are formed only at the orbit-representative rows
+        assert _scan_bytes(2, 12, ("even", "odd")) <= MAX_SCAN_BYTES
+        assert _scan_bytes(4, 12, ("even", "odd")) > MAX_SCAN_BYTES
 
     @pytest.mark.parametrize(
         "kinds,rows", [(("stag1", "stag1"), 2), (("stag1", "stag2"), 2),
