@@ -1,19 +1,19 @@
 """Local 4x4 operators and the Yang-Baxter layer.
 
-Builds the symmetric even/odd Lax matrices, the one eight-weight Lax
-constructor (its family is the weights' parity), the four-member
-intertwiner family labelled by parity pairs, and everything needed to
-test the Yang-Baxter equation numerically: leg embeddings, residuals,
-the six functional relations, and an SVD kernel solver that discovers
-the intertwiner from scratch.
+Builds the four-member intertwiner family R^(alpha,beta) labelled by
+parity pairs, the symmetric Lax operators (its members with an even
+quantum label), the one eight-weight Lax constructor (its family is the
+weights' parity), and everything needed to test the Yang-Baxter equation
+numerically: leg embeddings, residuals, the six functional relations,
+and an SVD kernel solver that discovers the intertwiner from scratch.
 The solver's 64x16 linear system is two einsum contractions of the
 embedded Lax products with an identity.
 
-Every 4x4 vertex matrix, Lax operator and intertwiner alike, is eight
-weights on one of two sparsity patterns: ``SLOTS`` is the one vertex
-dictionary of where w1..w8 sit, filled by ``vertex_matrix`` and read
-back by ``matches_pattern``, and both partition backends of the
-transfer module read their weights through it.
+Every 4x4 vertex operator, Lax operator and intertwiner alike, is a
+plain complex array: eight weights on one of two sparsity patterns.
+``SLOTS`` is the one vertex dictionary of where w1..w8 sit, filled by
+``vertex_matrix`` and read back by ``matches_pattern``, and both
+partition backends of the transfer module read their weights through it.
 
 Basis conventions, fixed once for the whole package: two-dimensional
 legs with up = index 0, basis order (00, 01, 10, 11), first tensor slot
@@ -32,7 +32,6 @@ satisfies the relations only with the middle argument shifted by lam.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -43,11 +42,8 @@ from .weights import Parity, WeightsEight, WeightsSym, ev_od_swap
 
 __all__ = [
     "SIGMA_X",
-    "LaxOperator",
     "SLOTS",
     "vertex_matrix",
-    "even_pattern",
-    "odd_pattern",
     "matches_pattern",
     "lax_even",
     "lax_odd",
@@ -74,42 +70,11 @@ SLOTS = {
 _FLAT_SLOTS = {kind: np.array([4 * i + j for i, j in ij]) for kind, ij in SLOTS.items()}
 
 
-@dataclass(frozen=True)
-class LaxOperator:
-    """A 4x4 vertex operator with its (auxiliary, quantum) parity labels."""
-
-    matrix: np.ndarray
-    pair: tuple[Parity, Parity]
-
-    def __post_init__(self):
-        m = linalg.as_matrix(self.matrix)
-        if m.shape != (4, 4):
-            raise ValueError("Lax operators are 4x4")
-        object.__setattr__(self, "matrix", m)
-        if not matches_pattern(m, self.kind):
-            raise ValueError(f"matrix violates the {self.kind} sparsity pattern")
-
-    @property
-    def kind(self) -> str:
-        """Sparsity class: equal labels give 'even', mixed give 'odd'."""
-        return "even" if self.pair[0] is self.pair[1] else "odd"
-
-
 def vertex_matrix(kind: str, w) -> np.ndarray:
     """The 4x4 matrix with w1..w8 at the ``SLOTS[kind]`` positions, zero elsewhere."""
     m = np.zeros(16, dtype=complex)
     m[_FLAT_SLOTS[kind]] = w
     return m.reshape(4, 4)
-
-
-def even_pattern(r1, r2, r3, r4) -> np.ndarray:
-    """[[r1,0,0,r4],[0,r2,r3,0],[0,r3,r2,0],[r4,0,0,r1]]"""
-    return vertex_matrix("even", (r1, r1, r2, r2, r3, r3, r4, r4))
-
-
-def odd_pattern(a, b, c, d) -> np.ndarray:
-    """[[0,a,d,0],[b,0,0,c],[c,0,0,b],[0,d,a,0]]"""
-    return vertex_matrix("odd", (a, a, b, b, c, c, d, d))
 
 
 def matches_pattern(m: np.ndarray, kind: str, tol: float = 0.0) -> bool:
@@ -118,21 +83,22 @@ def matches_pattern(m: np.ndarray, kind: str, tol: float = 0.0) -> bool:
     return all(abs(x) <= tol for x in off)
 
 
-def lax_even(ws: WeightsSym) -> LaxOperator:
-    """Symmetric even vertex operator: weights on the even pattern."""
-    return LaxOperator(even_pattern(*ws.as_tuple()), (Parity.EVEN, Parity.EVEN))
+def lax_even(ws: WeightsSym) -> np.ndarray:
+    """Symmetric even Lax operator R^(ev,ev): weights on the even pattern.
+    A Lax operator is the sheaf member whose quantum label is even."""
+    return r_sheaf((Parity.EVEN, Parity.EVEN), ws)
 
 
-def lax_odd(ws: WeightsSym) -> LaxOperator:
-    """Symmetric odd vertex operator: weights on the odd pattern.
+def lax_odd(ws: WeightsSym) -> np.ndarray:
+    """Symmetric odd Lax operator R^(od,ev): weights on the odd pattern.
 
     Equals (sx (x) sx) L_even (sx (x) I) for every weight point, the
     weight-independent local transformation linking the two families.
     """
-    return LaxOperator(odd_pattern(*ws.as_tuple()), (Parity.ODD, Parity.EVEN))
+    return r_sheaf((Parity.ODD, Parity.EVEN), ws)
 
 
-def lax_asym(w8: WeightsEight) -> LaxOperator:
+def lax_asym(w8: WeightsEight) -> np.ndarray:
     """Asymmetric vertex operator: the eight weights on their family's pattern.
 
     The family is the weights' parity: odd weights fill the odd ``SLOTS``
@@ -147,7 +113,7 @@ def lax_asym(w8: WeightsEight) -> LaxOperator:
     the tests).  Equivalently the even matrix equals the odd one at the
     same weights times (I (x) sx).
     """
-    return LaxOperator(vertex_matrix(w8.parity.value, w8.w), (w8.parity, Parity.EVEN))
+    return vertex_matrix(w8.parity.value, w8.w)
 
 
 def r_sheaf(pair: tuple[Parity, Parity], ws: WeightsSym) -> np.ndarray:
@@ -159,9 +125,8 @@ def r_sheaf(pair: tuple[Parity, Parity], ws: WeightsSym) -> np.ndarray:
     Exchanging both labels amounts to the weight swap a<->c, b<->d.
     """
     alpha, beta = pair
-    if beta is Parity.ODD:
-        ws = ev_od_swap(ws)
-    return (even_pattern if alpha is beta else odd_pattern)(*ws.as_tuple())
+    a, b, c, d = (ev_od_swap(ws) if beta is Parity.ODD else ws).as_tuple()
+    return vertex_matrix("even" if alpha is beta else "odd", (a, a, b, b, c, c, d, d))
 
 
 def sheaf_r_elliptic(
@@ -188,15 +153,13 @@ def _three_leg_residual(x12: np.ndarray, x13: np.ndarray, x23: np.ndarray) -> fl
     return linalg.max_abs(f12 @ f13 @ f23 - f23 @ f13 @ f12) / scale
 
 
-def yang_baxter_residual(
-    r12: np.ndarray, lax_p: LaxOperator, lax_pp: LaxOperator
-) -> float:
+def yang_baxter_residual(r12: np.ndarray, lax_p: np.ndarray, lax_pp: np.ndarray) -> float:
     """Relative residual of R12 L'13 L''23 = L''23 L'13 R12 on three legs.
 
     Max-entry norm of the difference, divided by the product of the
     operand norms.
     """
-    return _three_leg_residual(linalg.as_matrix(r12), lax_p.matrix, lax_pp.matrix)
+    return _three_leg_residual(linalg.as_matrix(r12), lax_p, lax_pp)
 
 
 def functional_residuals(
@@ -236,7 +199,7 @@ def normalize_gauge(m: np.ndarray) -> np.ndarray:
 
 
 def solve_intertwiner(
-    lax_p: LaxOperator, lax_pp: LaxOperator, rel_tol: float = 1e-8
+    lax_p: np.ndarray, lax_pp: np.ndarray, rel_tol: float = 1e-8
 ) -> tuple[int, list[np.ndarray]]:
     """Numerically solve the three-leg relation for an unknown 4x4 R.
 
@@ -245,10 +208,10 @@ def solve_intertwiner(
     kernel vectors reshaped to 4x4 and gauge-normalized.  A zero Lax
     operator is rejected: every R would solve the relation.
     """
-    if not (lax_p.matrix.any() and lax_pp.matrix.any()):
+    if not (lax_p.any() and lax_pp.any()):
         raise ValueError("cannot solve for the intertwiner of a zero Lax operator")
-    l13 = linalg.two_site_operator(lax_p.matrix, 3, 0, 2)
-    l23 = linalg.two_site_operator(lax_pp.matrix, 3, 1, 2)
+    l13 = linalg.two_site_operator(lax_p, 3, 0, 2)
+    l23 = linalg.two_site_operator(lax_pp, 3, 1, 2)
     # R12 = R (x) I acts on the legs-1,2 factor of a 4 x 2 split of the rows
     # of a and of the columns of b, so the column of R[r, q] is a Kronecker
     # delta times a slice of a (or of b)

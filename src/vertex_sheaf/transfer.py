@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .operators import SIGMA_X, LaxOperator, lax_asym, lax_even, lax_odd
+from .operators import SIGMA_X, lax_asym, lax_even, lax_odd
 from .weights import WeightsEight, WeightsSym, reparity, staggered_companion, to_eight
 
 __all__ = [
@@ -129,12 +129,12 @@ def _check_sites(sites: int):
         raise ValueError(f"chain length {sites} outside 1..{MAX_SITES}")
 
 
-def transfer_matrix(lax: LaxOperator, sites: int) -> TransferMatrix:
-    """Trace of the ordered product of one Lax operator along a row."""
-    return TransferMatrix(_cell_row((lax.matrix,), sites), sites)
+def transfer_matrix(lax: np.ndarray, sites: int) -> TransferMatrix:
+    """Trace of the ordered product of one 4x4 Lax operator along a row."""
+    return TransferMatrix(_cell_row((lax,), sites), sites)
 
 
-def transfer_family(lax: LaxOperator, max_sites: int) -> list[TransferMatrix]:
+def transfer_family(lax: np.ndarray, max_sites: int) -> list[TransferMatrix]:
     """Transfer matrices for every chain length 1..max_sites.
 
     Each length is its own row contraction; together they take about 4/3
@@ -154,7 +154,7 @@ def _cell(w8: WeightsEight, staggered: bool) -> tuple[np.ndarray, ...]:
     """The torus cell: the weights' vertex matrix, then for a staggered
     torus their companion permutation read as the same family."""
     points = (w8, reparity(staggered_companion(w8), w8.parity)) if staggered else (w8,)
-    return tuple(lax_asym(p).matrix for p in points)
+    return tuple(lax_asym(p) for p in points)
 
 
 def _cell_row(cell, sites: int, r: int = 0, keeps=None) -> np.ndarray:
@@ -433,7 +433,13 @@ def _transfer_of_kind(point, kind: str, sites: int) -> np.ndarray:
     raise ValueError(f"unknown transfer kind {kind!r}")
 
 
-def _scan_bytes(points: int, sites: int, kinds: tuple[str, str]) -> int:
+def _entry_bytes(points: list) -> int:
+    """Bytes per row entry: 16 if a symmetric point holds a complex weight, else 8."""
+    complex_ = any(isinstance(p, WeightsSym) and np.imag(p.as_tuple()).any() for p in points)
+    return 16 if complex_ else 8
+
+
+def _scan_bytes(points: list, sites: int, kinds: tuple[str, str]) -> int:
     """Bytes of dense matrices a commutation scan may hold, counted as if at once.
 
     The kept transfer matrices (one list, or two when the kinds differ),
@@ -441,12 +447,11 @@ def _scan_bytes(points: int, sites: int, kinds: tuple[str, str]) -> int:
     multiplies two rows (``stagprod``) one more: T1, held while T2 builds.
     Their product is the kept matrix, and the commutator products are
     formed only at the orbit-representative rows, a fraction of one
-    matrix.  Every entry is counted as complex128, 16 bytes: an upper
-    bound, since rows built from real weights are float64 and take half.
+    matrix.  Every entry is counted at the rows' dtype (``_entry_bytes``).
     """
-    kept = points * (1 if kinds[1] == kinds[0] else 2)
+    kept = len(points) * (1 if kinds[1] == kinds[0] else 2)
     pair = 1 if any(len(_STAGGERED_ROWS.get(kind, ())) == 2 for kind in kinds) else 0
-    return (kept + 3 + pair) * 16 * 4**sites
+    return (kept + 3 + pair) * _entry_bytes(points) * 4**sites
 
 
 def commutation_scan(
@@ -478,10 +483,10 @@ def commutation_scan(
         kinds = tuple("stag1" if kind == "stag2" else kind for kind in kinds)
     if kinds[1] == kinds[0] and len(points) < 2:
         raise ValueError("a scan of equal kinds needs at least two points")
-    nbytes = _scan_bytes(len(points), sites, kinds)
+    nbytes = _scan_bytes(points, sites, kinds)
     if nbytes > MAX_SCAN_BYTES:
         raise ValueError(
-            f"commutation scan would hold {nbytes // (16 * 4**sites)} dense "
+            f"commutation scan would hold {nbytes // (_entry_bytes(points) * 4**sites)} dense "
             f"{sites}-site matrices, {nbytes} bytes, above the {MAX_SCAN_BYTES}-byte limit"
         )
     first = [_transfer_of_kind(p, kinds[0], sites) for p in points]

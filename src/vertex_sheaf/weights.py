@@ -10,6 +10,7 @@ weight points sharing the free-fermion/Krinsky manifold.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -59,6 +60,10 @@ class WeightsSym:
     c: float
     d: float
     parity: Parity = Parity.EVEN
+
+    def __post_init__(self):
+        if not all(map(cmath.isfinite, self.as_tuple())):
+            raise ValueError("weights must be finite")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)

@@ -128,6 +128,14 @@ class TestSolveR:
         assert code == 2
         assert "zero Lax operator" in rep["error"]
 
+    @pytest.mark.parametrize("weights1,weights2", [
+        ("nan,1,1,1", "1,2,3,4"), ("1,1,1,1", "1,inf,3,4"),
+    ])
+    def test_non_finite_weights_are_a_guard_error(self, capsys, weights1, weights2):
+        code, rep = run_cli(capsys, "solve-r", "--weights1", weights1, "--weights2", weights2)
+        assert code == 2
+        assert "finite" in rep["error"]
+
 
 class TestCommute:
     def test_manifold_points_pass(self, capsys):
@@ -163,12 +171,13 @@ class TestCommute:
         assert "at least two points" in rep["error"]
 
     def test_scan_byte_guard(self, capsys):
-        # ten kept dense 12-site matrices plus three transients, 3.25 GiB:
-        # rejected before any is built
-        code, rep = run_cli(capsys, "commute", "--sites", "12",
-                            "--mus", "0.1,0.2,0.3,0.4,0.5", "--kinds", "even,odd")
+        # fourteen kept dense float64 12-site matrices plus three transients,
+        # 2.1 GiB: rejected before any is built
+        code, rep = run_cli(capsys, "commute", "--sites", "12", "--mus",
+                            "0.1,0.2,0.3,0.4,0.5,0.6,0.7", "--kinds", "even,odd")
         assert code == 2
-        assert str(13 * 16 * 4**12) in rep["error"]
+        assert "17 dense" in rep["error"]
+        assert str(17 * 8 * 4**12) in rep["error"]
 
 
 class TestPartition:

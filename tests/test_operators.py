@@ -8,20 +8,18 @@ from vertex_sheaf.elliptic import EllipticPoint, baxter_weights
 from vertex_sheaf.operators import (
     SIGMA_X,
     SLOTS,
-    LaxOperator,
-    even_pattern,
     functional_residuals,
     lax_asym,
     lax_even,
     lax_odd,
     matches_pattern,
     normalize_gauge,
-    odd_pattern,
     r_sheaf,
     sheaf_r_elliptic,
     sheaf_weight_points,
     sheaf_yang_baxter_residual,
     solve_intertwiner,
+    vertex_matrix,
     yang_baxter_residual,
 )
 from vertex_sheaf.transfer import _cell
@@ -47,10 +45,10 @@ def random_sym(rng, parity=EV) -> WeightsSym:
     return WeightsSym(*rng.uniform(0.2, 1.5, size=4), parity=parity)
 
 
-def column_by_column_system(lax_p: LaxOperator, lax_pp: LaxOperator) -> np.ndarray:
+def column_by_column_system(lax_p: np.ndarray, lax_pp: np.ndarray) -> np.ndarray:
     """The 64x16 intertwiner system built one basis matrix R = E_rq at a time."""
-    l13 = linalg.two_site_operator(lax_p.matrix, 3, 0, 2)
-    l23 = linalg.two_site_operator(lax_pp.matrix, 3, 1, 2)
+    l13 = linalg.two_site_operator(lax_p, 3, 0, 2)
+    l23 = linalg.two_site_operator(lax_pp, 3, 1, 2)
     a = l13 @ l23
     b = l23 @ l13
     system = np.zeros((64, 16), dtype=complex)
@@ -64,23 +62,23 @@ def column_by_column_system(lax_p: LaxOperator, lax_pp: LaxOperator) -> np.ndarr
 
 class TestLaxEven:
     def test_single_weight_selection(self):
-        m = lax_even(WeightsSym(1, 0, 0, 0)).matrix
+        m = lax_even(WeightsSym(1, 0, 0, 0))
         assert m[0, 0] == 1 and m[3, 3] == 1
         assert linalg.max_abs(m - np.diag([1, 0, 0, 1])) == 0.0
 
     def test_entry_placement(self):
-        m = lax_even(WeightsSym(1, 2, 3, 4)).matrix
+        m = lax_even(WeightsSym(1, 2, 3, 4))
         assert m[1, 2] == 3
         assert m[0, 3] == 4
         assert m[0, 0] == 1 and m[1, 1] == 2
 
     def test_spin_flip_symmetry(self, rng):
-        m = lax_even(random_sym(rng)).matrix
+        m = lax_even(random_sym(rng))
         flip = np.kron(SIGMA_X, SIGMA_X)
         assert linalg.max_abs(flip @ m @ flip - m) == 0.0
 
     def test_structural_zeros_exact(self, rng):
-        m = lax_even(random_sym(rng)).matrix
+        m = lax_even(random_sym(rng))
         assert matches_pattern(m, "even", tol=0.0)
 
 
@@ -89,26 +87,26 @@ class TestLaxOdd:
         # L_od = (sx (x) sx) L_ev (sx (x) I), weight independent
         for _ in range(5):
             ws = random_sym(rng)
-            lhs = lax_odd(ws).matrix
+            lhs = lax_odd(ws)
             rhs = (
                 np.kron(SIGMA_X, SIGMA_X)
-                @ lax_even(ws).matrix
+                @ lax_even(ws)
                 @ np.kron(SIGMA_X, np.eye(2))
             )
             assert linalg.max_abs(lhs - rhs) == 0.0
 
     def test_single_weight_placement(self):
-        m = lax_odd(WeightsSym(1, 0, 0, 0)).matrix
+        m = lax_odd(WeightsSym(1, 0, 0, 0))
         assert m[0, 1] == 1 and m[3, 2] == 1
         assert np.count_nonzero(m) == 2
 
     def test_spin_flip_symmetry(self, rng):
-        m = lax_odd(random_sym(rng)).matrix
+        m = lax_odd(random_sym(rng))
         flip = np.kron(SIGMA_X, SIGMA_X)
         assert linalg.max_abs(flip @ m @ flip - m) == 0.0
 
     def test_structural_zeros_exact(self, rng):
-        assert matches_pattern(lax_odd(random_sym(rng)).matrix, "odd", tol=0.0)
+        assert matches_pattern(lax_odd(random_sym(rng)), "odd", tol=0.0)
 
 
 class TestLaxAsym:
@@ -116,14 +114,14 @@ class TestLaxAsym:
     def test_symmetric_specialization(self, parity, rng):
         # either family reduces to its symmetric operator at symmetric weights
         ws = random_sym(rng)
-        asym = lax_asym(reparity(to_eight(ws), parity)).matrix
+        asym = lax_asym(reparity(to_eight(ws), parity))
         sym = lax_even(ws) if parity is EV else lax_odd(ws)
-        assert linalg.max_abs(asym - sym.matrix) == 0.0
+        assert linalg.max_abs(asym - sym) == 0.0
 
     def test_entry_placements(self):
         w8 = WeightsEight((1, 2, 3, 4, 5, 6, 7, 8), OD)
         _, companion = _cell(w8, staggered=True)
-        assert lax_asym(w8).matrix[2, 0] == 5
+        assert lax_asym(w8)[2, 0] == 5
         assert companion[2, 0] == 8
 
     def test_companion_is_plain_at_permuted_weights(self):
@@ -134,14 +132,14 @@ class TestLaxAsym:
         # reading the permuted vector back as odd weights
         reread = WeightsEight(companion_weights.w, OD)
         plain, companion = _cell(w8, staggered=True)
-        assert linalg.max_abs(plain - lax_asym(w8).matrix) == 0.0
-        assert linalg.max_abs(companion - lax_asym(reread).matrix) == 0.0
+        assert linalg.max_abs(plain - lax_asym(w8)) == 0.0
+        assert linalg.max_abs(companion - lax_asym(reread)) == 0.0
 
     def test_vertical_flip_relation_to_odd(self):
         # the even dictionary is the odd one with the top leg flipped
         vals = (1, 2, 3, 4, 5, 6, 7, 8)
-        even_m = lax_asym(WeightsEight(vals, EV)).matrix
-        odd_m = lax_asym(WeightsEight(vals, OD)).matrix
+        even_m = lax_asym(WeightsEight(vals, EV))
+        odd_m = lax_asym(WeightsEight(vals, OD))
         flip_top = np.kron(np.eye(2), SIGMA_X)
         assert linalg.max_abs(even_m - odd_m @ flip_top) == 0.0
 
@@ -150,9 +148,9 @@ W8 = (1, 2, 3, 4, 5, 6, 7, 8)
 
 
 @pytest.mark.parametrize("build,literal", [
-    (lambda: lax_asym(WeightsEight(W8, OD)).matrix,
+    (lambda: lax_asym(WeightsEight(W8, OD)),
      [[0, 1, 7, 0], [3, 0, 0, 6], [5, 0, 0, 4], [0, 8, 2, 0]]),
-    (lambda: lax_asym(WeightsEight(W8, EV)).matrix,
+    (lambda: lax_asym(WeightsEight(W8, EV)),
      [[1, 0, 0, 7], [0, 3, 6, 0], [0, 5, 4, 0], [8, 0, 0, 2]]),
     # sublattice Y of the odd staggered row: the companion weights
     (lambda: _cell(WeightsEight(W8, OD), staggered=True)[1],
@@ -169,12 +167,12 @@ class TestRSheaf:
     def test_odd_odd_is_even_pattern_of_swapped_weights(self, rng):
         ws = random_sym(rng)
         assert linalg.max_abs(
-            r_sheaf((OD, OD), ws) - lax_even(ev_od_swap(ws)).matrix
+            r_sheaf((OD, OD), ws) - lax_even(ev_od_swap(ws))
         ) == 0.0
 
     def test_odd_even_is_the_odd_lax_matrix(self, rng):
         ws = random_sym(rng)
-        assert linalg.max_abs(r_sheaf((OD, EV), ws) - lax_odd(ws).matrix) == 0.0
+        assert linalg.max_abs(r_sheaf((OD, EV), ws) - lax_odd(ws)) == 0.0
 
     def test_even_odd_entry(self):
         ws = WeightsSym(1, 2, 3, 4)
@@ -382,12 +380,7 @@ class TestSheafYangBaxter:
                 assert np.array_equal(r_sheaf(pair, ws), expected)
 
 
-class TestLaxOperatorValidation:
-    def test_pattern_violation_rejected(self):
-        bad = np.ones((4, 4), dtype=complex)
-        with pytest.raises(ValueError, match="pattern"):
-            LaxOperator(bad, (EV, EV))
-
+class TestVertexPatterns:
     def test_position_sets_partition_the_grid(self):
         even, odd = frozenset(SLOTS["even"]), frozenset(SLOTS["odd"])
         assert len(even) == 8
@@ -395,13 +388,13 @@ class TestLaxOperatorValidation:
         assert not (even & odd)
 
     def test_pattern_builders_agree_with_position_sets(self):
-        ev = even_pattern(1, 2, 3, 4)
-        od = odd_pattern(1, 2, 3, 4)
+        ev = vertex_matrix("even", range(1, 9))
+        od = vertex_matrix("odd", range(1, 9))
         assert {tuple(ix) for ix in np.argwhere(ev != 0)} == frozenset(SLOTS["even"])
         assert {tuple(ix) for ix in np.argwhere(od != 0)} == frozenset(SLOTS["odd"])
 
     def test_off_pattern_magnitude_at_tol_matches(self):
-        m = even_pattern(1, 2, 3, 4)
+        m = vertex_matrix("even", range(1, 9))
         m[0, 1] = -1e-8
         assert matches_pattern(m, "even", tol=1e-8)
         m[0, 1] = -np.nextafter(1e-8, 1.0)

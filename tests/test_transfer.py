@@ -7,7 +7,6 @@ import pytest
 from vertex_sheaf import linalg, transfer
 from vertex_sheaf.elliptic import EllipticPoint, baxter_weights
 from vertex_sheaf.operators import (
-    LaxOperator,
     lax_asym,
     lax_even,
     lax_odd,
@@ -84,8 +83,8 @@ def enumerate_by_definition(w8: WeightsEight, lattice: LatticeSpec, staggered=Fa
     with the companion weights on the odd sublattice of a staggered torus.
     """
     rows, cols = lattice.rows, lattice.cols
-    mx = lax_asym(w8).matrix.tolist()
-    my = lax_asym(reparity(staggered_companion(w8), w8.parity)).matrix.tolist() if staggered else mx
+    mx = lax_asym(w8).tolist()
+    my = lax_asym(reparity(staggered_companion(w8), w8.parity)).tolist() if staggered else mx
     vertices = []
     for r in range(rows):
         for c in range(cols):
@@ -190,8 +189,8 @@ class TestTransferMatrix:
     @pytest.mark.parametrize("parity", [EV, OD])
     def test_entries_match_the_sum_over_auxiliary_strings(self, parity, rng):
         w8 = random_eight(rng, parity)
-        lx = lax_asym(w8).matrix
-        ly = lax_asym(reparity(staggered_companion(w8), parity)).matrix
+        lx = lax_asym(w8)
+        ly = lax_asym(reparity(staggered_companion(w8), parity))
         t1, t2 = staggered_transfer_pair(w8, 2)
         for built, mats in (
             (transfer_matrix(lax_asym(w8), 3).matrix, [lx] * 3),
@@ -231,7 +230,7 @@ class TestRepresentativeRows:
                 assert np.array_equal(_row_transfer(mats, keeps), _row_transfer(mats)[reps])
 
     def test_mixed_real_complex_row(self, rng):
-        real = lax_asym(random_eight(rng, OD)).matrix
+        real = lax_asym(random_eight(rng, OD))
         mats = [real, real * np.exp(0.7j), real, real]
         for period in (1, 2):
             rows = _row_transfer(mats, _suffix_keeps(4, period))
@@ -246,8 +245,8 @@ class TestRealArithmetic:
     @pytest.mark.parametrize("parity", [EV, OD])
     def test_real_weights_give_float64_rows(self, parity, rng):
         w8 = random_eight(rng, parity)
-        lx = lax_asym(w8).matrix
-        ly = lax_asym(reparity(staggered_companion(w8), parity)).matrix
+        lx = lax_asym(w8)
+        ly = lax_asym(reparity(staggered_companion(w8), parity))
         t1, t2 = staggered_transfer_pair(w8, 2)
         family = transfer_family(lax_asym(w8), 4)
         built = [(t.matrix, [lx] * t.sites) for t in family]
@@ -261,14 +260,14 @@ class TestRealArithmetic:
     @pytest.mark.parametrize("kind", ["even", "odd"])
     def test_complex_entries_give_complex_rows(self, kind, rng):
         w = rng.uniform(0.2, 1.4, size=8) * np.exp(1j * rng.uniform(0.1, 3.0, size=8))
-        lax = LaxOperator(vertex_matrix(kind, w), (Parity(kind), EV))
+        lax = vertex_matrix(kind, w)
         t = transfer_matrix(lax, 4).matrix
         assert t.dtype == np.complex128
-        ref = row_transfer_by_definition([lax.matrix] * 4)
+        ref = row_transfer_by_definition([lax] * 4)
         assert linalg.max_abs(t - ref) <= 1e-14 * linalg.max_abs(ref)
 
     def test_one_complex_site_makes_the_row_complex(self, rng):
-        real = lax_asym(random_eight(rng, OD)).matrix
+        real = lax_asym(random_eight(rng, OD))
         phased = real * np.exp(0.7j)
         mats = [real, phased, real, real]
         t = _row_transfer(mats)
@@ -646,20 +645,32 @@ class TestCommutationScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert _scan_bytes(len(points), 10, kinds) >= peak
+        assert _scan_bytes(points, 10, kinds) >= peak
 
     def test_single_row_kinds_count_no_product(self):
         # stag1 and stag2 are one row each: no T1 held while T2 builds, so a
-        # one-point 12-site scan fits the limit (counted, not run)
-        assert _scan_bytes(1, 12, ("stag1", "stag2")) == 5 * 16 * 4**12
-        assert _scan_bytes(1, 12, ("stag1", "stag2")) <= MAX_SCAN_BYTES
-        assert _scan_bytes(1, 12, ("stagprod", "stag1")) == 6 * 16 * 4**12
+        # one-point 12-site scan fits the limit (counted, not run); real
+        # weights build float64 rows, 8 bytes an entry
+        point = [elliptic_weights(0.1)]
+        assert _scan_bytes(point, 12, ("stag1", "stag2")) == 5 * 8 * 4**12
+        assert _scan_bytes(point, 12, ("stag1", "stag2")) <= MAX_SCAN_BYTES
+        assert _scan_bytes(point, 12, ("stagprod", "stag1")) == 6 * 8 * 4**12
 
     def test_two_point_twelve_site_scan_fits(self):
-        # four kept matrices and the build's three: the commutator products
-        # are formed only at the orbit-representative rows
-        assert _scan_bytes(2, 12, ("even", "odd")) <= MAX_SCAN_BYTES
-        assert _scan_bytes(4, 12, ("even", "odd")) > MAX_SCAN_BYTES
+        # two kept matrices a point and the build's three, float64: the
+        # commutator products are formed only at the orbit-representative rows
+        points = [elliptic_weights(mu) for mu in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)]
+        assert _scan_bytes(points[:2], 12, ("even", "odd")) <= MAX_SCAN_BYTES
+        assert _scan_bytes(points[:4], 12, ("even", "odd")) <= MAX_SCAN_BYTES
+        assert _scan_bytes(points[:6], 12, ("even", "odd")) == 15 * 8 * 4**12 <= MAX_SCAN_BYTES
+        assert _scan_bytes(points, 12, ("even", "odd")) == 17 * 8 * 4**12 > MAX_SCAN_BYTES
+
+    def test_complex_weights_count_sixteen_bytes(self, rng):
+        # a complex symmetric point builds complex128 rows, even beside real ones
+        phased = WeightsSym(*rng.uniform(0.2, 1.5, size=4) * np.exp(0.7j))
+        mixed = [elliptic_weights(0.1), to_eight(elliptic_weights(0.2)), phased]
+        assert _scan_bytes(mixed[:2], 12, ("stag1", "stag2")) == 7 * 8 * 4**12
+        assert _scan_bytes(mixed, 12, ("stag1", "stag2")) == 9 * 16 * 4**12
 
     @pytest.mark.parametrize(
         "kinds,rows", [(("stag1", "stag1"), 2), (("stag1", "stag2"), 2),

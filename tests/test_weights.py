@@ -52,6 +52,13 @@ class TestWeightsEightValidation:
             WeightsEight((1, 2, 3, 4, 5, 6, 7, float("inf")), Parity.EVEN)
 
 
+class TestWeightsSymValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, float("nan"))])
+    def test_finiteness(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WeightsSym(1.0, bad, 3.0, 4.0)
+
+
 class TestBaxterInvariants:
     def test_fully_symmetric_point(self):
         assert baxter_invariants(WeightsSym(1, 1, 1, 1)) == (0.0, 0.0)
