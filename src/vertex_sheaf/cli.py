@@ -44,7 +44,6 @@ from .weights import (
     krinsky_invariants,
     manifold_report,
     sample_krinsky_pair,
-    to_eight,
     weights_to_json,
 )
 
@@ -109,7 +108,7 @@ def cmd_param(args, tol) -> tuple[dict, bool]:
         "c": ws.c,
         "d": ws.d,
     }
-    report.update(manifold_report(to_eight(ws)))
+    report.update(manifold_report(ws))
     return report, True
 
 
@@ -148,8 +147,8 @@ def cmd_solve_r(args, tol) -> tuple[dict, bool]:
             raise ValueError("explicit mode needs both --weights1 and --weights2")
         w1 = _parse_floats(args.weights1, 4, "--weights1")
         w2 = _parse_floats(args.weights2, 4, "--weights2")
-        ws_p = WeightsSym(*w1, parity=Parity.ODD)
-        ws_pp = WeightsSym(*w2, parity=Parity.ODD)
+        ws_p = WeightsSym(*w1)
+        ws_pp = WeightsSym(*w2)
         prediction = None
     else:
         if args.mu1 is None or args.mu2 is None:

@@ -16,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .weights import Parity, WeightsSym
+from .weights import WeightsSym
 from .linalg import real_part
 
 __all__ = [
@@ -217,6 +217,4 @@ def baxter_weights(point: EllipticPoint) -> WeightsSym:
     b = -1j * th_lam * th_minus * h_plus
     c = -1j * h_lam * th_minus * th_plus
     d = 1j * h_lam * h_minus * h_plus
-    return WeightsSym(
-        real_part(a), real_part(b), real_part(c), real_part(d), Parity.EVEN
-    )
+    return WeightsSym(real_part(a), real_part(b), real_part(c), real_part(d))

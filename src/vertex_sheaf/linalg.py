@@ -1,7 +1,7 @@
 """Dense linear algebra kernel shared by every other module.
 
-Matrices keep the dtype of their data: 4x4 operators are complex128, and
-transfer matrices are float64 for real weights.
+Matrices keep the dtype of their data: vertex operators and transfer
+matrices are float64, the Yang-Baxter embeddings complex128.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ The solver's 64x16 linear system is two einsum contractions of the
 embedded Lax products with an identity.
 
 Every 4x4 vertex operator, Lax operator and intertwiner alike, is a
-plain complex array: eight weights on one of two sparsity patterns.
+plain float64 array: eight real weights on one of two sparsity patterns.
 ``SLOTS`` is the one vertex dictionary of where w1..w8 sit, filled by
 ``vertex_matrix`` and read back by ``matches_pattern``, and both
 partition backends of the transfer module read their weights through it.
@@ -58,7 +58,7 @@ __all__ = [
     "normalize_gauge",
 ]
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 #: the vertex dictionary: where w1..w8 sit in each sparsity class,
 #:   even [[w1,0,0,w7],[0,w3,w6,0],[0,w5,w4,0],[w8,0,0,w2]]
@@ -72,7 +72,7 @@ _FLAT_SLOTS = {kind: np.array([4 * i + j for i, j in ij]) for kind, ij in SLOTS.
 
 def vertex_matrix(kind: str, w) -> np.ndarray:
     """The 4x4 matrix with w1..w8 at the ``SLOTS[kind]`` positions, zero elsewhere."""
-    m = np.zeros(16, dtype=complex)
+    m = np.zeros(16)
     m[_FLAT_SLOTS[kind]] = w
     return m.reshape(4, 4)
 

@@ -56,8 +56,7 @@ __all__ = [
     "commutation_scan",
 ]
 
-#: memory guard: the largest dense transfer matrix is 2^12 x 2^12, 256 MiB counted
-#: as complex128 entries, an upper bound (a row built from real weights takes half);
+#: memory guard: the largest dense transfer matrix is 2^12 x 2^12, 128 MiB of float64;
 #: the trace backend holds about 2^12 / 12 representative rows of it, not the matrix
 MAX_SITES = 12
 #: enumeration guard: 2 * rows * cols edges, about 2^(edges/2 + 2) live
@@ -97,8 +96,8 @@ def _row_transfer(matrices: list[np.ndarray], keeps=None) -> np.ndarray:
     """Auxiliary trace of the ordered product of 4x4 vertex matrices along a row.
 
     Each matrix is read as the Lax tensor l[a, i, b, j] = m4[2a + i, 2b + j]
-    (auxiliary legs a, b; quantum legs i, j), a real one when its imaginary
-    part is exactly zero: real weights give a float64 row.  The first site
+    (auxiliary legs a, b; quantum legs i, j) as given: float64 matrices give
+    a float64 row, and one complex matrix makes it complex.  The first site
     is the most significant bit of the row and column index.  The product
     grows from the last site towards the first with its auxiliary legs
     open, each new site's quantum legs becoming the leading bits of the
@@ -112,9 +111,9 @@ def _row_transfer(matrices: list[np.ndarray], keeps=None) -> np.ndarray:
     ends with are dropped, and the last mask picks the wanted rows.  Every
     kept entry is formed by the same products as in the dense row.
     """
-    first, *tail = [(m4 if m4.imag.any() else m4.real).reshape(2, 2, 2, 2) for m4 in matrices]
+    first, *tail = [m4.reshape(2, 2, 2, 2) for m4 in matrices]
     keeps = (slice(None),) * len(matrices) if keeps is None else keeps
-    acc = np.eye(2, dtype=np.result_type(first, *tail)).reshape(2, 1, 2, 1)
+    acc = np.eye(2).reshape(2, 1, 2, 1)
     for lax, keep in zip(reversed(tail), keeps):
         d = 2 * acc.shape[3]
         acc = np.einsum("aibj,bIcJ->aiIcjJ", lax, acc).reshape(2, -1, 2, d)
@@ -147,13 +146,13 @@ def transfer_family(lax: np.ndarray, max_sites: int) -> list[TransferMatrix]:
 def sigma_x_string(sites: int) -> np.ndarray:
     """Global spin-flip operator sx (x) sx (x) ... (x) sx, real like sx."""
     _check_sites(sites)
-    return linalg.kron_chain([SIGMA_X.real] * sites)
+    return linalg.kron_chain([SIGMA_X] * sites)
 
 
 def _cell(w8: WeightsEight, staggered: bool) -> tuple[np.ndarray, ...]:
     """The torus cell: the weights' vertex matrix, then for a staggered
-    torus their companion permutation read as the same family."""
-    points = (w8, reparity(staggered_companion(w8), w8.parity)) if staggered else (w8,)
+    torus that of their companion permutation (same family) on Y."""
+    points = (w8, staggered_companion(w8)) if staggered else (w8,)
     return tuple(lax_asym(p) for p in points)
 
 
@@ -433,12 +432,6 @@ def _transfer_of_kind(point, kind: str, sites: int) -> np.ndarray:
     raise ValueError(f"unknown transfer kind {kind!r}")
 
 
-def _entry_bytes(points: list) -> int:
-    """Bytes per row entry: 16 if a symmetric point holds a complex weight, else 8."""
-    complex_ = any(isinstance(p, WeightsSym) and np.imag(p.as_tuple()).any() for p in points)
-    return 16 if complex_ else 8
-
-
 def _scan_bytes(points: list, sites: int, kinds: tuple[str, str]) -> int:
     """Bytes of dense matrices a commutation scan may hold, counted as if at once.
 
@@ -447,11 +440,11 @@ def _scan_bytes(points: list, sites: int, kinds: tuple[str, str]) -> int:
     multiplies two rows (``stagprod``) one more: T1, held while T2 builds.
     Their product is the kept matrix, and the commutator products are
     formed only at the orbit-representative rows, a fraction of one
-    matrix.  Every entry is counted at the rows' dtype (``_entry_bytes``).
+    matrix.  Every entry is a float64, 8 bytes.
     """
     kept = len(points) * (1 if kinds[1] == kinds[0] else 2)
     pair = 1 if any(len(_STAGGERED_ROWS.get(kind, ())) == 2 for kind in kinds) else 0
-    return (kept + 3 + pair) * _entry_bytes(points) * 4**sites
+    return (kept + 3 + pair) * 8 * 4**sites
 
 
 def commutation_scan(
@@ -464,9 +457,10 @@ def commutation_scan(
     all on the same chain.  Equal kinds give an exactly symmetric grid
     (|AB - BA| is |BA - AB|) with a zero diagonal: only i < j is computed,
     so they need at least two points, or the scan would check nothing.
-    A symmetric point (``WeightsSym``) is its own staggered companion, so
-    its stag1 and stag2 rows are one matrix: when every point is
-    symmetric, stag2 is read as stag1 and those rules apply.
+    At a symmetric point (``WeightsSym``) the Y matrix is X with its vertical
+    leg flipped, so T2 is T1 conjugated by the global spin flip, which
+    commutes with a symmetric row: stag1 and stag2 are one matrix, and when
+    every point is symmetric, stag2 is read as stag1 and those rules apply.
 
     Every transfer matrix of the scan commutes with the cyclic shift P^p
     of the chain, p = 1 when both kinds are symmetric and p = 2 when
@@ -486,7 +480,7 @@ def commutation_scan(
     nbytes = _scan_bytes(points, sites, kinds)
     if nbytes > MAX_SCAN_BYTES:
         raise ValueError(
-            f"commutation scan would hold {nbytes // (_entry_bytes(points) * 4**sites)} dense "
+            f"commutation scan would hold {nbytes // (8 * 4**sites)} dense "
             f"{sites}-site matrices, {nbytes} bytes, above the {MAX_SCAN_BYTES}-byte limit"
         )
     first = [_transfer_of_kind(p, kinds[0], sites) for p in points]

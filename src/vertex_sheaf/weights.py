@@ -10,7 +10,6 @@ weight points sharing the free-fermion/Krinsky manifold.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -24,7 +23,6 @@ __all__ = [
     "WeightsSym",
     "WeightsEight",
     "to_eight",
-    "symmetrize",
     "baxter_invariants",
     "free_fermion_residual",
     "krinsky_invariants",
@@ -51,19 +49,24 @@ class UndefinedInvariantError(ArithmeticError):
     """A manifold invariant was requested at a vanishing denominator."""
 
 
+def _real_weights(values) -> None:
+    if not all(isinstance(x, (int, float, np.integer, np.floating)) and math.isfinite(x)
+               for x in values):
+        raise ValueError("weights must be real and finite")
+
+
 @dataclass(frozen=True)
 class WeightsSym:
-    """Symmetric weights (a, b, c, d) of one vertex family."""
+    """Arrow-inversion symmetric weights (a, b, c, d): four reals of no family;
+    the operator built from them (``lax_even``, ``lax_odd``) names it."""
 
     a: float
     b: float
     c: float
     d: float
-    parity: Parity = Parity.EVEN
 
     def __post_init__(self):
-        if not all(map(cmath.isfinite, self.as_tuple())):
-            raise ValueError("weights must be finite")
+        _real_weights(self.as_tuple())
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
@@ -77,30 +80,19 @@ class WeightsEight:
     parity: Parity
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.w)
-        if len(w) != 8:
-            raise ValueError(f"expected 8 weights, got {len(w)}")
-        if not all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        object.__setattr__(self, "w", w)
+        if len(self.w) != 8:
+            raise ValueError(f"expected 8 weights, got {len(self.w)}")
+        _real_weights(self.w)
+        object.__setattr__(self, "w", tuple(map(float, self.w)))
 
     def as_array(self) -> np.ndarray:
         return np.array(self.w, dtype=float)
 
 
 def to_eight(ws: WeightsSym) -> WeightsEight:
-    """Expand symmetric weights to (a, a, b, b, c, c, d, d)."""
+    """The even weights (a, a, b, b, c, c, d, d); ``reparity`` reads them as odd."""
     a, b, c, d = ws.as_tuple()
-    return WeightsEight((a, a, b, b, c, c, d, d), ws.parity)
-
-
-def symmetrize(w8: WeightsEight) -> WeightsSym:
-    """Inverse of :func:`to_eight`; rejects genuinely asymmetric input."""
-    w = w8.as_array()
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if np.max(np.abs(w[0::2] - w[1::2])) > 1e-12 * scale:
-        raise ValueError("weights are not arrow-inversion symmetric")
-    return WeightsSym(w[0], w[2], w[4], w[6], w8.parity)
+    return WeightsEight((a, a, b, b, c, c, d, d), Parity.EVEN)
 
 
 def baxter_invariants(ws: WeightsSym) -> tuple[float, float]:
@@ -140,26 +132,25 @@ def krinsky_invariants(w8: WeightsEight) -> tuple[float, float, float]:
 
 
 def staggered_companion(w8: WeightsEight) -> WeightsEight:
-    """Sublattice-Y weight permutation (w3,w4,w1,w2,w8,w7,w6,w5), parity flipped.
+    """Sublattice-Y weight permutation (w3,w4,w1,w2,w8,w7,w6,w5), parity kept.
 
-    This is the permutation that turns a uniform model of one parity into
-    the equivalent staggered model of the other parity.  It is an
+    A staggered torus of one family carries the weights on sublattice X
+    and this permutation of them, read as the same family, on Y; a
+    uniform model of the other family is equivalent to it.  It is an
     involution on the weight vector and preserves the free-fermion
     residual.
     """
     w = w8.w
-    return WeightsEight(
-        (w[2], w[3], w[0], w[1], w[7], w[6], w[5], w[4]), w8.parity.flipped
-    )
+    return WeightsEight((w[2], w[3], w[0], w[1], w[7], w[6], w[5], w[4]), w8.parity)
 
 
 def ev_od_swap(ws: WeightsSym) -> WeightsSym:
-    """Exchange (a, b) with (c, d) and flip the parity label.
+    """Exchange (a, b) with (c, d).
 
     Realizes the even/odd index exchange of the intertwiner family; both
     manifold invariants change sign under it.
     """
-    return WeightsSym(ws.c, ws.d, ws.a, ws.b, ws.parity.flipped)
+    return WeightsSym(ws.c, ws.d, ws.a, ws.b)
 
 
 def sample_krinsky_pair(seed: int) -> tuple[WeightsEight, WeightsEight]:
@@ -219,16 +210,17 @@ def sample_krinsky_pair(seed: int) -> tuple[WeightsEight, WeightsEight]:
     raise RuntimeError("krinsky pair sampler: draw budget exhausted")
 
 
-def manifold_report(w8: WeightsEight) -> dict:
+def manifold_report(ws: WeightsSym) -> dict:
     """The quadric invariants and both constraint residuals, as report fields.
 
-    ``gamma``/``delta`` are None when ab + cd vanishes or the weights are
-    not arrow-inversion symmetric, ``krinsky`` when w5*w7 vanishes.
+    The residual and the Krinsky ratios are those of ``to_eight(ws)``.
+    ``gamma``/``delta`` are None when ab + cd vanishes, ``krinsky`` when c does.
     """
     try:
-        gamma, delta = baxter_invariants(symmetrize(w8))
-    except (UndefinedInvariantError, ValueError):
+        gamma, delta = baxter_invariants(ws)
+    except UndefinedInvariantError:
         gamma = delta = None
+    w8 = to_eight(ws)
     try:
         krinsky = list(krinsky_invariants(w8))
     except UndefinedInvariantError:

@@ -48,6 +48,7 @@ from vertex_sheaf.weights import (
     baxter_invariants,
     free_fermion_residual,
     krinsky_invariants,
+    reparity,
     sample_krinsky_pair,
     to_eight,
 )
@@ -173,8 +174,8 @@ def test_criterion_4_intertwiner_discovery():
         worst_res = max(worst_res, res)
     zero_dims = []
     for _ in range(10):
-        ws_p = WeightsSym(*rng.uniform(0.2, 1.5, size=4), parity=OD)
-        ws_pp = WeightsSym(*rng.uniform(0.2, 1.5, size=4), parity=OD)
+        ws_p = WeightsSym(*rng.uniform(0.2, 1.5, size=4))
+        ws_pp = WeightsSym(*rng.uniform(0.2, 1.5, size=4))
         dim, _ = solve_intertwiner(lax_odd(ws_p), lax_odd(ws_pp))
         zero_dims.append(dim)
     ok = ok and worst_gap < match_tol and worst_res < res_tol
@@ -203,8 +204,8 @@ def test_criterion_5_staggered_equivalences():
             w8 = WeightsEight(tuple(rng.uniform(0.2, 1.4, size=8)), parity)
             worst_enum = max(worst_enum, wu_kunz_check(w8, lattice2)["rel_diff"])
         for _ in range(20):
-            ws = WeightsSym(*rng.uniform(0.2, 1.5, size=4), parity=parity)
-            worst_enum = max(worst_enum, wu_kunz_check(to_eight(ws), lattice2)["rel_diff"])
+            w8 = reparity(to_eight(WeightsSym(*rng.uniform(0.2, 1.5, size=4))), parity)
+            worst_enum = max(worst_enum, wu_kunz_check(w8, lattice2)["rel_diff"])
     worst_trace = 0.0
     for parity in (OD, EV):
         for _ in range(5):

@@ -41,8 +41,8 @@ def elliptic_weights(mu: float) -> WeightsSym:
     return baxter_weights(EllipticPoint(K, LAM, mu))
 
 
-def random_sym(rng, parity=EV) -> WeightsSym:
-    return WeightsSym(*rng.uniform(0.2, 1.5, size=4), parity=parity)
+def random_sym(rng) -> WeightsSym:
+    return WeightsSym(*rng.uniform(0.2, 1.5, size=4))
 
 
 def column_by_column_system(lax_p: np.ndarray, lax_pp: np.ndarray) -> np.ndarray:
@@ -135,6 +135,15 @@ class TestLaxAsym:
         assert linalg.max_abs(plain - lax_asym(w8)) == 0.0
         assert linalg.max_abs(companion - lax_asym(reread)) == 0.0
 
+    @pytest.mark.parametrize("parity", [EV, OD])
+    def test_symmetric_companion_is_the_vertical_flip(self, parity, rng):
+        # at symmetric weights the sublattice-Y matrix is X with its
+        # vertical leg flipped, (I (x) sx) X (I (x) sx), exactly
+        flip = [1, 0, 3, 2]
+        for _ in range(20):
+            x, y = _cell(reparity(to_eight(random_sym(rng)), parity), staggered=True)
+            assert np.array_equal(y, x[flip][:, flip])
+
     def test_vertical_flip_relation_to_odd(self):
         # the even dictionary is the odd one with the top leg flipped
         vals = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -159,8 +168,8 @@ W8 = (1, 2, 3, 4, 5, 6, 7, 8)
 def test_vertex_dictionary_against_hand_written_matrices(build, literal):
     # an independent route to the slot table shared by every constructor
     m = build()
-    assert m.dtype == complex
-    assert np.array_equal(m, np.array(literal, dtype=complex))
+    assert m.dtype == np.float64
+    assert np.array_equal(m, np.array(literal, dtype=float))
 
 
 class TestRSheaf:
@@ -221,7 +230,7 @@ class TestYangBaxterResidual:
     def test_identity_intertwiner_fails_even_at_equal_points(self, rng):
         # the two Lax embeddings share the quantum leg and do not commute,
         # so R = I is not an intertwiner even for identical points
-        ws = random_sym(rng, parity=OD)
+        ws = random_sym(rng)
         res = yang_baxter_residual(np.eye(4, dtype=complex), lax_odd(ws), lax_odd(ws))
         assert res > 1e-3
 
@@ -231,8 +240,8 @@ class TestYangBaxterResidual:
         assert yang_baxter_residual(r0, lax_odd(ws), lax_odd(ws)) < 1e-12
 
     def test_off_manifold_negative_control(self, rng):
-        ws_p = random_sym(rng, parity=OD)
-        ws_pp = random_sym(rng, parity=OD)
+        ws_p = random_sym(rng)
+        ws_pp = random_sym(rng)
         r12 = r_sheaf((OD, OD), ws_p)
         assert yang_baxter_residual(r12, lax_odd(ws_p), lax_odd(ws_pp)) > 1e-3
 
@@ -241,7 +250,7 @@ class TestFunctionalRelations:
     def test_permutation_direction_vanishes_identically(self, rng):
         # r proportional to (1, 0, 1, 0) kills every relation at equal
         # weight points: each line becomes an explicit antisymmetry
-        ws = random_sym(rng, parity=OD)
+        ws = random_sym(rng)
         res = functional_residuals((1.0, 0.0, 1.0, 0.0), ws, ws)
         assert linalg.max_abs(res) == 0.0
 
@@ -305,8 +314,8 @@ class TestSolveIntertwiner:
         assert min(gaps) < 1e-8
 
     def test_off_manifold_pair_has_no_kernel(self, rng):
-        ws_p = random_sym(rng, parity=OD)
-        ws_pp = random_sym(rng, parity=OD)
+        ws_p = random_sym(rng)
+        ws_pp = random_sym(rng)
         dim, _ = solve_intertwiner(lax_odd(ws_p), lax_odd(ws_pp))
         assert dim == 0
 

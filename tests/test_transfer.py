@@ -6,12 +6,7 @@ import pytest
 
 from vertex_sheaf import linalg, transfer
 from vertex_sheaf.elliptic import EllipticPoint, baxter_weights
-from vertex_sheaf.operators import (
-    lax_asym,
-    lax_even,
-    lax_odd,
-    vertex_matrix,
-)
+from vertex_sheaf.operators import SLOTS, lax_asym, lax_even, lax_odd
 from vertex_sheaf.transfer import (
     MAX_SCAN_BYTES,
     LatticeSpec,
@@ -52,8 +47,8 @@ def elliptic_weights(mu: float) -> WeightsSym:
     return baxter_weights(EllipticPoint(K, LAM, mu))
 
 
-def random_sym(rng, parity=EV) -> WeightsSym:
-    return WeightsSym(*rng.uniform(0.2, 1.5, size=4), parity=parity)
+def random_sym(rng) -> WeightsSym:
+    return WeightsSym(*rng.uniform(0.2, 1.5, size=4))
 
 
 def random_eight(rng, parity) -> WeightsEight:
@@ -84,7 +79,7 @@ def enumerate_by_definition(w8: WeightsEight, lattice: LatticeSpec, staggered=Fa
     """
     rows, cols = lattice.rows, lattice.cols
     mx = lax_asym(w8).tolist()
-    my = lax_asym(reparity(staggered_companion(w8), w8.parity)).tolist() if staggered else mx
+    my = lax_asym(staggered_companion(w8)).tolist() if staggered else mx
     vertices = []
     for r in range(rows):
         for c in range(cols):
@@ -190,7 +185,7 @@ class TestTransferMatrix:
     def test_entries_match_the_sum_over_auxiliary_strings(self, parity, rng):
         w8 = random_eight(rng, parity)
         lx = lax_asym(w8)
-        ly = lax_asym(reparity(staggered_companion(w8), parity))
+        ly = lax_asym(staggered_companion(w8))
         t1, t2 = staggered_transfer_pair(w8, 2)
         for built, mats in (
             (transfer_matrix(lax_asym(w8), 3).matrix, [lx] * 3),
@@ -246,7 +241,7 @@ class TestRealArithmetic:
     def test_real_weights_give_float64_rows(self, parity, rng):
         w8 = random_eight(rng, parity)
         lx = lax_asym(w8)
-        ly = lax_asym(reparity(staggered_companion(w8), parity))
+        ly = lax_asym(staggered_companion(w8))
         t1, t2 = staggered_transfer_pair(w8, 2)
         family = transfer_family(lax_asym(w8), 4)
         built = [(t.matrix, [lx] * t.sites) for t in family]
@@ -260,7 +255,9 @@ class TestRealArithmetic:
     @pytest.mark.parametrize("kind", ["even", "odd"])
     def test_complex_entries_give_complex_rows(self, kind, rng):
         w = rng.uniform(0.2, 1.4, size=8) * np.exp(1j * rng.uniform(0.1, 3.0, size=8))
-        lax = vertex_matrix(kind, w)
+        lax = np.zeros((4, 4), dtype=complex)
+        for (i, j), x in zip(SLOTS[kind], w):
+            lax[i, j] = x
         t = transfer_matrix(lax, 4).matrix
         assert t.dtype == np.complex128
         ref = row_transfer_by_definition([lax] * 4)
@@ -312,10 +309,14 @@ class TestSigmaXString:
 class TestStaggeredTransferPair:
     def test_equal_at_symmetric_weights(self, rng):
         # alternation starting on either sublattice gives the same matrix
-        # at arrow-inversion symmetric weights
-        w8 = to_eight(random_sym(rng, parity=OD))
-        t1, t2 = staggered_transfer_pair(w8, 2)
-        assert linalg.max_abs(t1.matrix - t2.matrix) < 1e-14
+        # at arrow-inversion symmetric weights, bit for bit: the Y matrix is
+        # X with its vertical leg flipped, so T2 is T1 conjugated by the
+        # global spin flip, and the row builds the same products
+        w8 = to_eight(random_sym(rng))
+        for parity in (OD, EV):
+            for pairs in range(1, 6):
+                t1, t2 = staggered_transfer_pair(reparity(w8, parity), pairs)
+                assert np.array_equal(t1.matrix, t2.matrix)
 
     def test_pair_related_by_one_site_translation(self, rng):
         # generic weights: swapping the sublattice phase is a lattice shift
@@ -354,7 +355,7 @@ class TestStaggeredTransferPair:
 
 class TestPartitionFunctions:
     def test_odd_single_site_torus_vanishes(self, rng):
-        ws = to_eight(random_sym(rng, parity=OD))
+        ws = reparity(to_eight(random_sym(rng)), OD)
         assert partition_trace(ws, LatticeSpec(1, 1)) == 0.0
         assert partition_enumerate(ws, LatticeSpec(1, 1)) == 0.0
 
@@ -563,7 +564,7 @@ class TestPartitionFunctions:
 
 class TestWuKunz:
     def test_symmetric_point_enumeration(self):
-        w8 = to_eight(WeightsSym(1, 2, 3, 4, OD))
+        w8 = reparity(to_eight(WeightsSym(1, 2, 3, 4)), OD)
         rep = wu_kunz_check(w8, LatticeSpec(2, 2))
         assert rep["rel_diff"] < 1e-12
 
@@ -629,16 +630,13 @@ class TestCommutationScan:
     @pytest.mark.parametrize("kinds,family", [
         (("even", "odd"), "elliptic"), (("stagprod", "stagprod"), "elliptic"),
         (("stag1", "stag1"), "elliptic"), (("stag1", "stag2"), "elliptic"),
-        (("stag1", "stag2"), "krinsky"), (("even", "odd"), "complex"),
+        (("stag1", "stag2"), "krinsky"),
     ])
-    def test_byte_count_bounds_the_peak(self, kinds, family, rng):
+    def test_byte_count_bounds_the_peak(self, kinds, family):
         if family == "elliptic":
             points = [elliptic_weights(mu) for mu in (0.1, 0.3, 0.5)]
-        elif family == "krinsky":  # distinct eight-weight points: stag2 is its own row
+        else:  # distinct eight-weight points: stag2 is its own row
             points = list(sample_krinsky_pair(5))
-        else:  # complex weights build complex128 rows, twice the bytes of real ones
-            phases = np.exp(1j * rng.uniform(0.1, 3.0, size=(3, 4)))
-            points = [WeightsSym(*w) for w in rng.uniform(0.2, 1.5, size=(3, 4)) * phases]
         tracemalloc.start()
         try:
             commutation_scan(points, 10, kinds)
@@ -665,12 +663,12 @@ class TestCommutationScan:
         assert _scan_bytes(points[:6], 12, ("even", "odd")) == 15 * 8 * 4**12 <= MAX_SCAN_BYTES
         assert _scan_bytes(points, 12, ("even", "odd")) == 17 * 8 * 4**12 > MAX_SCAN_BYTES
 
-    def test_complex_weights_count_sixteen_bytes(self, rng):
-        # a complex symmetric point builds complex128 rows, even beside real ones
-        phased = WeightsSym(*rng.uniform(0.2, 1.5, size=4) * np.exp(0.7j))
-        mixed = [elliptic_weights(0.1), to_eight(elliptic_weights(0.2)), phased]
-        assert _scan_bytes(mixed[:2], 12, ("stag1", "stag2")) == 7 * 8 * 4**12
-        assert _scan_bytes(mixed, 12, ("stag1", "stag2")) == 9 * 16 * 4**12
+    def test_complex_weights_rejected(self):
+        # weights are real: a complex point is refused where it is made,
+        # before a staggered kind could expand it to eight weights
+        with pytest.raises(ValueError, match="real"):
+            points = [WeightsSym(1, 2j, 3, 4), WeightsSym(1, 2, 3j, 4)]
+            commutation_scan(points, 4, ("stag1", "stag1"))
 
     @pytest.mark.parametrize(
         "kinds,rows", [(("stag1", "stag1"), 2), (("stag1", "stag2"), 2),

@@ -15,7 +15,6 @@ from vertex_sheaf.weights import (
     manifold_report,
     sample_krinsky_pair,
     staggered_companion,
-    symmetrize,
     to_eight,
     weights_to_json,
 )
@@ -29,17 +28,8 @@ class TestToEight:
         w8 = to_eight(WeightsSym(1, 2, 3, 4))
         assert w8.w == (1, 1, 2, 2, 3, 3, 4, 4)
 
-    def test_parity_carried(self):
-        assert to_eight(WeightsSym(1, 2, 3, 4, Parity.ODD)).parity is Parity.ODD
-
-    @given(a=finite, b=finite, c=finite, d=finite)
-    def test_round_trip(self, a, b, c, d):
-        ws = WeightsSym(a, b, c, d, Parity.ODD)
-        assert symmetrize(to_eight(ws)) == ws
-
-    def test_symmetrize_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            symmetrize(WeightsEight((1, 2, 3, 4, 5, 6, 7, 8), Parity.EVEN))
+    def test_even_family(self):
+        assert to_eight(WeightsSym(1, 2, 3, 4)).parity is Parity.EVEN
 
 
 class TestWeightsEightValidation:
@@ -51,9 +41,16 @@ class TestWeightsEightValidation:
         with pytest.raises(ValueError, match="finite"):
             WeightsEight((1, 2, 3, 4, 5, 6, 7, float("inf")), Parity.EVEN)
 
+    @pytest.mark.parametrize("bad", [2j, np.complex128(2.0)])
+    def test_complex_rejected(self, bad):
+        with pytest.raises(ValueError, match="real"):
+            WeightsEight((1, bad, 3, 4, 5, 6, 7, 8), Parity.EVEN)
+
 
 class TestWeightsSymValidation:
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, float("nan"))])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), complex(1.0, float("nan")), 2j, np.complex128(2.0)]
+    )
     def test_finiteness(self, bad):
         with pytest.raises(ValueError, match="finite"):
             WeightsSym(1.0, bad, 3.0, 4.0)
@@ -130,7 +127,7 @@ class TestStaggeredCompanion:
 
     def test_symmetric_input_matches_symmetric_swap(self):
         # (a,a,b,b,c,c,d,d) -> (b,b,a,a,d,d,c,c)
-        w8 = to_eight(WeightsSym(1, 2, 3, 4, Parity.ODD))
+        w8 = to_eight(WeightsSym(1, 2, 3, 4))
         assert staggered_companion(w8).w == (2, 2, 1, 1, 4, 4, 3, 3)
 
     def test_involution_on_the_vector(self):
@@ -139,9 +136,9 @@ class TestStaggeredCompanion:
         assert twice.w == w8.w
         assert twice.parity is w8.parity
 
-    def test_parity_flips(self):
+    def test_parity_kept(self):
         w8 = WeightsEight((1,) * 8, Parity.ODD)
-        assert staggered_companion(w8).parity is Parity.EVEN
+        assert staggered_companion(w8).parity is Parity.ODD
 
 
 class TestEvOdSwap:
@@ -149,7 +146,7 @@ class TestEvOdSwap:
         assert ev_od_swap(WeightsSym(1, 2, 3, 4)).as_tuple() == (3, 4, 1, 2)
 
     def test_involution(self):
-        ws = WeightsSym(1.5, 0.4, 2.2, 0.9, Parity.ODD)
+        ws = WeightsSym(1.5, 0.4, 2.2, 0.9)
         assert ev_od_swap(ev_od_swap(ws)) == ws
 
     @given(a=nonzero, b=nonzero, c=nonzero, d=nonzero)
@@ -194,21 +191,24 @@ def test_json_round_trip():
 
 class TestManifoldReport:
     def test_symmetric_point(self):
-        rep = manifold_report(to_eight(WeightsSym(2, 1, 1, 1)))
+        rep = manifold_report(WeightsSym(2, 1, 1, 1))
         assert rep["gamma"] == pytest.approx(1.0 / 3.0)
         assert rep["delta"] == pytest.approx(0.5)
         assert rep["ff_residual"] == pytest.approx(2 * 2 + 1 - 1 - 1)
         assert rep["krinsky"] is not None
 
     def test_undefined_fields_are_none(self):
-        rep = manifold_report(WeightsEight((1, 1, 1, 1, 0, 1, 0, 1), Parity.EVEN))
+        # c = 0 makes w5*w7 vanish
+        rep = manifold_report(WeightsSym(1, 1, 0, 1))
         assert rep["krinsky"] is None
-        # asymmetric input also leaves the symmetric invariants undefined
-        rep2 = manifold_report(WeightsEight((1, 2, 3, 4, 5, 6, 7, 8), Parity.EVEN))
+        assert rep["gamma"] == pytest.approx(1.0)
+        # ab + cd = 0 leaves the quadric invariants undefined
+        rep2 = manifold_report(WeightsSym(1, -1, 1, 1))
         assert rep2["gamma"] is None and rep2["delta"] is None
-        assert rep2["ff_residual"] == pytest.approx(1 * 2 + 3 * 4 - 5 * 6 - 7 * 8)
+        assert rep2["ff_residual"] == 1 * 1 + (-1) * (-1) - 1 * 1 - 1 * 1
+        assert rep2["krinsky"] is not None
 
     def test_json_shape(self):
-        obj = manifold_report(to_eight(WeightsSym(1, 1, 1, 1)))
+        obj = manifold_report(WeightsSym(1, 1, 1, 1))
         assert list(obj) == ["gamma", "delta", "ff_residual", "krinsky"]
         assert isinstance(obj["krinsky"], list)
