@@ -121,12 +121,11 @@ def cmd_ybe(args, tol) -> tuple[dict, bool]:
             raise ValueError("parities must be three of ev/od, or 'all'")
         triples = [tuple(_PARITY[p] for p in labels)]
     points = sheaf_weight_points(args.mu1, args.mu2, args.k, args.lam, detune=args.detune)
-    records = []
-    for tri in triples:
-        res = sheaf_yang_baxter_residual(tri, points)
-        records.append(
-            {"parities": [p.value for p in tri], "residual": res, "pass": bool(res < tol)}
-        )
+    residuals = sheaf_yang_baxter_residual(triples, points)
+    records = [
+        {"parities": [p.value for p in tri], "residual": res, "pass": res < tol}
+        for tri, res in zip(triples, residuals)
+    ]
     report = {
         "command": "ybe",
         "k": args.k,
@@ -357,14 +356,20 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, ok = args.func(args, getattr(args, "tol", None))
-        bad = [key for key, value in report.items() if not _is_finite(value)]
-        if bad:
-            raise GuardError(f"non-finite result in {', '.join(bad)}")
         code = 0 if ok else 1
     except (GuardError, UndefinedInvariantError, ValueError) as exc:
         report, ok, code = {"command": args.command, "error": str(exc)}, False, 2
     report["pass"] = bool(ok)
-    text = json.dumps(report, allow_nan=False)
+    try:
+        text = json.dumps(report, allow_nan=False)
+    except ValueError:
+        # a non-finite number is a guard error; walk the report to name its keys
+        bad = [key for key, value in report.items() if not _is_finite(value)]
+        if not bad:
+            raise
+        error = f"non-finite result in {', '.join(bad)}"
+        text = json.dumps({"command": args.command, "error": error, "pass": False})
+        code = 2
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

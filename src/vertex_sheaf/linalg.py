@@ -87,8 +87,9 @@ def null_space(m: np.ndarray, rel_tol: float) -> list[np.ndarray]:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError("null_space expects a matrix")
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
     n = m.shape[1]
+    # a tall matrix's reduced vh is already n x n; only a wide one needs the rest
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < n)
     if s.size == 0 or s[0] == 0.0:
         return [vh[i].conj() for i in range(n)]
     # vh rows past min(m, n) correspond to singular value zero
@@ -101,20 +102,23 @@ def two_site_operator(op: np.ndarray, sites: int, p: int, q: int) -> np.ndarray:
     """Embed a 4x4 two-site operator on legs ``p`` and ``q`` of a chain.
 
     Legs are two-dimensional; ``op`` acts on the ordered pair (p, q) and
-    identity elsewhere.  Used for the three-leg Yang-Baxter embeddings.
+    identity elsewhere.  A stack ``(..., 4, 4)`` embeds member by member
+    through the same contraction, the stack axes leading.  Used for the
+    three-leg Yang-Baxter embeddings.
     """
     op = np.asarray(op, dtype=complex)
-    if op.shape != (4, 4):
-        raise ValueError("two_site_operator expects a 4x4 operator")
+    if op.shape[-2:] != (4, 4):
+        raise ValueError(f"two_site_operator expects (..., 4, 4) operators, got {op.shape}")
     if p == q or not (0 <= p < sites and 0 <= q < sites):
         raise ValueError(f"invalid legs ({p}, {q}) for {sites} sites")
     # leg x is label x on the output side and sites + x on the input side
-    operands = [op.reshape(2, 2, 2, 2), [p, q, sites + p, sites + q]]
+    stack = op.shape[:-2]
+    operands = [op.reshape(*stack, 2, 2, 2, 2), [..., p, q, sites + p, sites + q]]
     for x in range(sites):
         if x not in (p, q):
             operands += [np.eye(2, dtype=complex), [x, sites + x]]
     dim = 2**sites
-    return np.einsum(*operands, list(range(2 * sites))).reshape(dim, dim)
+    return np.einsum(*operands, [..., *range(2 * sites)]).reshape(*stack, dim, dim)
 
 
 def real_part(z: complex) -> float:

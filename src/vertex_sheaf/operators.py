@@ -32,7 +32,8 @@ satisfies the relations only with the middle argument shifted by lam.
 
 from __future__ import annotations
 
-from typing import Iterable
+import itertools
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -142,15 +143,19 @@ def sheaf_r_elliptic(
     return r_sheaf(pair, ws)
 
 
-def _three_leg_residual(x12: np.ndarray, x13: np.ndarray, x23: np.ndarray) -> float:
-    """Max-entry norm of X12 X13 X23 - X23 X13 X12 over the product of operand norms."""
-    scale = linalg.max_abs(x12) * linalg.max_abs(x13) * linalg.max_abs(x23)
-    if scale == 0.0:
-        return 0.0
+def _three_leg_residual(x12: np.ndarray, x13: np.ndarray, x23: np.ndarray) -> np.ndarray:
+    """Per member of three (n, 4, 4) stacks: max-entry norm of
+    X12 X13 X23 - X23 X13 X12 over the product of the operand norms.
+
+    A member with a zero operand has residual 0.0.
+    """
+    n12, n13, n23 = (np.max(np.abs(x), axis=(-2, -1)) for x in (x12, x13, x23))
+    scale = n12 * n13 * n23
     f12 = linalg.two_site_operator(x12, 3, 0, 1)
     f13 = linalg.two_site_operator(x13, 3, 0, 2)
     f23 = linalg.two_site_operator(x23, 3, 1, 2)
-    return linalg.max_abs(f12 @ f13 @ f23 - f23 @ f13 @ f12) / scale
+    diff = np.max(np.abs(f12 @ f13 @ f23 - f23 @ f13 @ f12), axis=(-2, -1))
+    return np.divide(diff, scale, out=np.zeros_like(scale), where=scale != 0.0)
 
 
 def yang_baxter_residual(r12: np.ndarray, lax_p: np.ndarray, lax_pp: np.ndarray) -> float:
@@ -159,7 +164,8 @@ def yang_baxter_residual(r12: np.ndarray, lax_p: np.ndarray, lax_pp: np.ndarray)
     Max-entry norm of the difference, divided by the product of the
     operand norms.
     """
-    return _three_leg_residual(linalg.as_matrix(r12), lax_p, lax_pp)
+    stacks = (linalg.as_matrix(r12), np.asarray(lax_p), np.asarray(lax_pp))
+    return float(_three_leg_residual(*(x[np.newaxis] for x in stacks))[0])
 
 
 def functional_residuals(
@@ -239,14 +245,19 @@ def sheaf_weight_points(
 
 
 def sheaf_yang_baxter_residual(
-    parities: tuple[Parity, Parity, Parity],
+    triples: Sequence[tuple[Parity, Parity, Parity]],
     points: tuple[WeightsSym, WeightsSym, WeightsSym],
-) -> float:
-    """Relative residual of one parity-labelled three-leg relation.
+) -> list[float]:
+    """Relative residual of each parity-labelled three-leg relation.
 
     Evaluates R12^(a1,a2) R13^(a1,a3) R23^(a2,a3) against the reversed
-    product, the members filled from the three ``sheaf_weight_points``.
+    product for every triple (a1, a2, a3), the members filled from the
+    three ``sheaf_weight_points``.  The twelve members (four parity
+    pairs at each point) are built once and every triple is evaluated
+    in one stacked contraction.
     """
-    a1, a2, a3 = parities
-    pairs = ((a1, a2), (a1, a3), (a2, a3))
-    return _three_leg_residual(*(r_sheaf(pair, ws) for pair, ws in zip(pairs, points)))
+    pairs = list(itertools.product(Parity, repeat=2))
+    members = np.array([[r_sheaf(pair, ws) for pair in pairs] for ws in points])
+    legs = ((0, 1), (0, 2), (1, 2))
+    rows = ([pairs.index((tri[i], tri[j])) for tri in triples] for i, j in legs)
+    return _three_leg_residual(*(m[r] for m, r in zip(members, rows))).tolist()

@@ -125,12 +125,12 @@ def test_criterion_3_sheaf_yang_baxter():
     for _ in range(10):
         mu1, mu2 = rng.uniform(0.05, 0.3, size=2)
         points = sheaf_weight_points(mu1, mu2, K, LAM)
-        res = sheaf_yang_baxter_residual((OD, OD, EV), points)
+        res = sheaf_yang_baxter_residual([(OD, OD, EV)], points)[0]
         worst_headline = max(worst_headline, res)
     sweep = {
         "".join(p.value[0] for p in tri): sheaf_yang_baxter_residual(
-            tri, sheaf_weight_points(0.2, 0.3, K, LAM)
-        )
+            [tri], sheaf_weight_points(0.2, 0.3, K, LAM)
+        )[0]
         for tri in itertools.product((EV, OD), repeat=3)
     }
     elapsed = time.perf_counter() - t0

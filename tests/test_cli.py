@@ -94,6 +94,20 @@ class TestYbe:
         assert captured.out == ""
         assert "--tol" in captured.err
 
+    def test_non_finite_record_is_a_guard_error(self, capsys, monkeypatch):
+        # a NaN nested inside the list of records still names its key
+        def one_nan(triples, points):
+            return [float("nan") if i == 3 else 0.0 for i in range(len(triples))]
+
+        monkeypatch.setattr(cli, "sheaf_yang_baxter_residual", one_nan)
+        code = main(["ybe", "--mu1", "0.2", "--mu2", "0.3", "--parities", "all"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "NaN" not in out
+        rep = json.loads(out, parse_constant=_reject_constant)
+        assert rep == {"command": "ybe", "error": "non-finite result in records",
+                       "pass": False}
+
     def test_bad_parities_usage_error(self, capsys):
         code, rep = run_cli(capsys, "ybe", "--mu1", "0.2", "--mu2", "0.3",
                             "--parities", "up,down,strange")

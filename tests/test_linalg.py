@@ -128,6 +128,13 @@ class TestNullSpace:
         gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
         assert linalg.max_abs(gram - np.eye(3)) < 1e-12
 
+    def test_tall_zero_matrix_full_kernel(self):
+        # the reduced SVD of a tall matrix still yields all n directions
+        vecs = linalg.null_space(np.zeros((6, 3)), 1e-8)
+        assert len(vecs) == 3
+        gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
+        assert linalg.max_abs(gram - np.eye(3)) < 1e-12
+
     def test_identity_trivial_kernel(self):
         assert linalg.null_space(np.eye(4), 1e-8) == []
 
@@ -207,6 +214,20 @@ class TestTwoSiteOperator:
     def test_invalid_legs(self):
         with pytest.raises(ValueError):
             linalg.two_site_operator(np.eye(4), 3, 1, 1)
+
+    @pytest.mark.parametrize("sites", [3, 4])
+    def test_stack_equals_single_embeddings(self, rng, sites):
+        ops = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        for p, q in itertools.permutations(range(sites), 2):
+            single = np.stack([linalg.two_site_operator(op, sites, p, q) for op in ops])
+            assert np.array_equal(linalg.two_site_operator(ops, sites, p, q), single)
+            nested = linalg.two_site_operator(ops[:4].reshape(2, 2, 4, 4), sites, p, q)
+            assert np.array_equal(nested.reshape(single[:4].shape), single[:4])
+
+    @pytest.mark.parametrize("shape", [(), (4,), (16,), (2, 2), (4, 2), (3, 4, 3), (2, 8, 8)])
+    def test_shapes_other_than_stacked_four_by_four(self, shape):
+        with pytest.raises(ValueError, match="4, 4"):
+            linalg.two_site_operator(np.zeros(shape), 3, 0, 1)
 
 
 class TestRealPart:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from vertex_sheaf.elliptic import EllipticPoint, baxter_weights
 from vertex_sheaf.operators import (
     SIGMA_X,
     SLOTS,
+    _three_leg_residual,
     functional_residuals,
     lax_asym,
     lax_even,
@@ -357,28 +359,58 @@ def family_points(mu1, mu2, detune=0.0):
 
 class TestSheafYangBaxter:
     def test_headline_parity_triple(self):
-        res = sheaf_yang_baxter_residual((OD, OD, EV), family_points(0.2, 0.3))
+        res = sheaf_yang_baxter_residual([(OD, OD, EV)], family_points(0.2, 0.3))[0]
         assert res < 1e-10
 
     def test_all_eight_triples(self):
         # the family claim: every parity labelling satisfies the relation
         for tri in itertools.product((EV, OD), repeat=3):
-            res = sheaf_yang_baxter_residual(tri, family_points(0.2, 0.3))
+            res = sheaf_yang_baxter_residual([tri], family_points(0.2, 0.3))[0]
             assert res < 1e-10, f"triple {tri} residual {res}"
 
     def test_degenerate_first_argument(self):
-        res = sheaf_yang_baxter_residual((OD, OD, EV), family_points(0.0, 0.3))
+        res = sheaf_yang_baxter_residual([(OD, OD, EV)], family_points(0.0, 0.3))[0]
         assert res < 1e-10
 
     def test_detuned_middle_argument_is_a_negative_control(self):
-        res = sheaf_yang_baxter_residual((OD, OD, EV), family_points(0.2, 0.3, detune=0.1))
+        points = family_points(0.2, 0.3, detune=0.1)
+        res = sheaf_yang_baxter_residual([(OD, OD, EV)], points)[0]
         assert res > 1e-3
 
     def test_random_spectral_draws(self, rng):
         for _ in range(5):
             mu1, mu2 = rng.uniform(0.05, 0.3, size=2)
-            res = sheaf_yang_baxter_residual((OD, OD, EV), family_points(mu1, mu2))
+            res = sheaf_yang_baxter_residual([(OD, OD, EV)], family_points(mu1, mu2))[0]
             assert res < 1e-10
+
+    def test_stack_equals_single_residuals(self):
+        # every triple of one stacked call, bit for bit against the
+        # scalar residual of that labelling's three members
+        rng = np.random.default_rng(1702)
+        triples = list(itertools.product((EV, OD), repeat=3))
+        for draw in range(20):
+            k, lam = rng.uniform(0.3, 0.7), rng.uniform(0.5, 0.9)
+            mu1, mu2 = rng.uniform(0.05, 0.3, size=2)
+            mu1 = 0.0 if draw % 5 == 0 else mu1
+            detune = 0.1 if draw % 2 else 0.0
+            points = sheaf_weight_points(mu1, mu2, k, lam, detune=detune)
+            stacked = sheaf_yang_baxter_residual(triples, points)
+            single = [
+                yang_baxter_residual(*(r_sheaf(pair, ws) for pair, ws in zip(
+                    ((a1, a2), (a1, a3), (a2, a3)), points)))
+                for a1, a2, a3 in triples
+            ]
+            assert np.array_equal(stacked, single)
+
+    def test_zero_member_is_exactly_zero_without_warning(self, rng):
+        x = rng.normal(size=(3, 3, 4, 4))
+        x[1, 1] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = _three_leg_residual(*x)
+        assert res[1] == 0.0
+        assert res[0] > 1e-3 and res[2] > 1e-3
+        assert yang_baxter_residual(x[0, 0], x[1, 1], x[2, 0]) == 0.0
 
     def test_points_fill_the_elliptic_family_members(self):
         # the members at mu1, mu1 + mu2 + detune and mu2, bit for bit
