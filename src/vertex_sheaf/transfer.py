@@ -6,6 +6,9 @@ matrix; a staggered torus has two, the weights on sublattice X and their
 companion permutation on Y (the checkerboard model of Hsue, Lin and Wu,
 Phys. Rev. B 12, 429 (1975)).
 
+Every row transfer matrix comes from one kernel, ``_row_transfer``: two
+half-row open products joined by two exact batched matrix products.
+
 Two independent partition-function backends (``BACKENDS``) share one
 vertex dictionary (``operators.SLOTS``, read through
 ``lax_asym``): a trace backend that contracts the Lax tensor of each
@@ -56,8 +59,9 @@ __all__ = [
     "commutation_scan",
 ]
 
-#: memory guard: the largest dense transfer matrix is 2^12 x 2^12, 128 MiB of float64;
-#: the trace backend holds about 2^12 / 12 representative rows of it, not the matrix
+#: memory guard: the largest dense transfer matrix is 2^12 x 2^12, 128 MiB of float64,
+#: and its build peaks at about twice that; the trace backend builds about
+#: 2^12 / 12 representative rows of it, not the matrix
 MAX_SITES = 12
 #: enumeration guard: 2 * rows * cols edges, about 2^(edges/2 + 2) live
 #: partial configurations (13 MiB at 32 edges)
@@ -92,35 +96,60 @@ class LatticeSpec:
             raise ValueError("lattice dimensions must be positive")
 
 
-def _row_transfer(matrices: list[np.ndarray], keeps=None) -> np.ndarray:
+#: the open product of no sites, for the empty first half of a one-site row
+_NO_SITES = np.eye(2).reshape(2, 1, 2, 1)
+
+
+def _open_product(laxes: list[np.ndarray]) -> np.ndarray:
+    """Open product acc[a, I, b, J] of Lax tensors along part of a row.
+
+    a enters the first site and b leaves the last.  The product grows from
+    the last site, each new site's quantum legs becoming the leading bits
+    of I and J, so the long column tail stays the innermost axis.
+    """
+    if not laxes:
+        return _NO_SITES
+    acc = laxes[-1]
+    for lax in laxes[-2::-1]:
+        d = 2 * acc.shape[3]
+        acc = np.einsum("aibj,bIcJ->aiIcjJ", lax, acc).reshape(2, -1, 2, d)
+    return acc
+
+
+def _row_transfer(matrices: list[np.ndarray], rows=None) -> np.ndarray:
     """Auxiliary trace of the ordered product of 4x4 vertex matrices along a row.
 
     Each matrix is read as the Lax tensor l[a, i, b, j] = m4[2a + i, 2b + j]
     (auxiliary legs a, b; quantum legs i, j) as given: float64 matrices give
     a float64 row, and one complex matrix makes it complex.  The first site
-    is the most significant bit of the row and column index.  The product
-    grows from the last site towards the first with its auxiliary legs
-    open, each new site's quantum legs becoming the leading bits of the
-    row and the column, so the long column tail J of the sites already
-    contracted stays the innermost, contiguous axis of both operands and
-    of the result.  The first site is contracted together with the trace,
-    so the open product of the row is never formed.
+    is the most significant bit of the row and column index.
 
-    ``keeps`` (one boolean mask per site, from ``_suffix_keeps``) restricts
-    the row index: after each site the row suffixes that no wanted row
-    ends with are dropped, and the last mask picks the wanted rows.  Every
-    kept entry is formed by the same products as in the dense row.
+    The row meets in the middle: the open products L[a, I, b, J] of the
+    first n // 2 sites and R[b, I', a, J'] of the rest, each 2^(n/2) wide,
+    give T[(I, I'), (J, J')] = sum over a, b of L R, one batched matrix
+    product over b for each a, the two added in numpy.  A vertex is nonzero
+    for one parity of its four legs only (``operators.SLOTS``), so a, I and
+    J fix b: each sum over b, like each inside the halves, has exactly one
+    nonzero term whatever order the BLAS kernel sums in, and a row whose
+    vertices mirror another's (odd against even) mirrors it bit for bit.
+    The build peaks at about two results.
+
+    ``rows`` (an index array in any order, repeats allowed) restricts the
+    row index: only those rows are formed, each equal to the dense row.
     """
-    first, *tail = [m4.reshape(2, 2, 2, 2) for m4 in matrices]
-    keeps = (slice(None),) * len(matrices) if keeps is None else keeps
-    acc = np.eye(2).reshape(2, 1, 2, 1)
-    for lax, keep in zip(reversed(tail), keeps):
-        d = 2 * acc.shape[3]
-        acc = np.einsum("aibj,bIcJ->aiIcjJ", lax, acc).reshape(2, -1, 2, d)
-        # a masked acc is strided along I; the einsums run faster on C order
-        acc = np.ascontiguousarray(acc[:, keep])
-    d = 2 * acc.shape[3]
-    return np.einsum("aibj,bIaJ->iIjJ", first, acc).reshape(-1, d)[keeps[-1]]
+    laxes = [m4.reshape(2, 2, 2, 2) for m4 in matrices]
+    half = len(laxes) // 2
+    left, right = _open_product(laxes[:half]), _open_product(laxes[half:])
+    # left[a, I, b, J] -> [a, I, J, b] and right[b, I', a, J'] -> [a, I', b, J']
+    lt, rt = left.transpose(0, 1, 3, 2), right.transpose(2, 1, 0, 3)
+    if rows is None:
+        lt, rt = lt[:, :, None], rt[:, None]
+    else:
+        high, low = np.divmod(rows, rt.shape[1])
+        lt, rt = lt[:, high], rt[:, low]
+    out = lt[0] @ rt[0]
+    out += lt[1] @ rt[1]
+    return out.reshape(-1, left.shape[3] * right.shape[3])
 
 
 def _check_sites(sites: int):
@@ -156,16 +185,16 @@ def _cell(w8: WeightsEight, staggered: bool) -> tuple[np.ndarray, ...]:
     return tuple(lax_asym(p) for p in points)
 
 
-def _cell_row(cell, sites: int, r: int = 0, keeps=None) -> np.ndarray:
+def _cell_row(cell, sites: int, r: int = 0, rows=None) -> np.ndarray:
     """Row r of the torus, site c reading cell[(r + c) % len(cell)].
 
     The chain must close on the cell, so its length is a multiple of it.
-    ``keeps`` restricts the row as in ``_row_transfer``.
+    ``rows`` restricts the matrix rows as in ``_row_transfer``.
     """
     if sites % len(cell):
         raise ValueError("staggered kinds need an even chain length")
     _check_sites(sites)
-    return _row_transfer([cell[(r + c) % len(cell)] for c in range(sites)], keeps)
+    return _row_transfer([cell[(r + c) % len(cell)] for c in range(sites)], rows)
 
 
 def staggered_transfer_pair(
@@ -189,13 +218,9 @@ def _shift_orbits(sites: int, period: int) -> tuple[np.ndarray, np.ndarray]:
     in increasing order of r_a, and ``weight`` (L x orbits), the entry
     [k, a] being sqrt(d_a / L) where the orbit carries momentum k
     (k d_a = 0 mod L) and exactly 0 where it does not; d_a is the orbit
-    size, a divisor of L.  Both are small next to a 2^sites matrix and
-    read-only, since every caller shares them.
-
-    The representative is the orbit's state with the smallest bit
-    reversal: its low bits, the last sites of the chain, lead with 0s, so
-    ``_suffix_keeps`` prunes the row suffixes of the restricted build
-    from its first sites on.
+    size, a divisor of L.  The representative is the orbit's smallest
+    state.  Both are small next to a 2^sites matrix and read-only, since
+    every caller shares them.
     """
     length = sites // period
     states = np.arange(2**sites)
@@ -204,8 +229,7 @@ def _shift_orbits(sites: int, period: int) -> tuple[np.ndarray, np.ndarray]:
     for t in range(1, length):
         prev = images[:, t - 1]
         images[:, t] = ((prev << period) | (prev >> (sites - period))) & (2**sites - 1)
-    reversed_bits = sum((states >> s & 1) << (sites - 1 - s) for s in range(sites))
-    images = images[reversed_bits[images].min(axis=1) == reversed_bits]
+    images = images[images.min(axis=1) == states]
     sizes = length // (images == images[:, :1]).sum(axis=1)
     k = np.arange(length)[:, None]
     weight = np.where(k * sizes % length == 0, np.sqrt(sizes / length), 0.0)
@@ -213,41 +237,14 @@ def _shift_orbits(sites: int, period: int) -> tuple[np.ndarray, np.ndarray]:
     return images, weight
 
 
-@functools.cache
-def _suffix_keeps(sites: int, period: int) -> tuple[np.ndarray, ...]:
-    """Masks that restrict ``_row_transfer`` to the orbit representatives.
-
-    The row index reads the sites from the most significant bit and the
-    row grows from the last site, so after s sites a row of the
-    representative r_a (``images[:, 0]`` of ``_shift_orbits``) has the
-    suffix r_a mod 2^s.  Mask s - 1 runs over the live suffixes of s - 1
-    sites, each extended by a leading bit, 0 for all of them and then 1,
-    and keeps those that end a representative; the last mask keeps
-    exactly the representatives, in increasing order.  Read-only and
-    shared, like the orbit tables.
-    """
-    reps = _shift_orbits(sites, period)[0][:, 0]
-    live = np.zeros(1, dtype=np.intp)
-    keeps = []
-    for s in range(sites):
-        ends = np.zeros(2 ** (s + 1), dtype=bool)
-        ends[reps & (2 ** (s + 1) - 1)] = True
-        grown = (live | np.arange(2)[:, None] << s).ravel()
-        keep = ends[grown]
-        live = grown[keep]
-        keep.flags.writeable = False
-        keeps.append(keep)
-    return tuple(keeps)
-
-
 def _shift_trace(factors, sites: int, period: int, power: int) -> complex:
     """Tr((F1 F2 ...)^power) for real factors that commute with P^period.
 
     Each factor is given by its rows at the orbit representatives, in the
-    order of ``_shift_orbits`` (``_row_transfer`` restricted by
-    ``_suffix_keeps``): no other row is read, so no dense factor is ever
-    formed.  ``factors`` may be a lazy iterable: each factor is released
-    once its blocks are formed, before the next one is drawn.
+    order of ``_shift_orbits`` (``_row_transfer`` restricted to them): no
+    other row is read, so no dense factor is ever formed.  ``factors`` may
+    be a lazy iterable: each factor is released once its blocks are
+    formed, before the next one is drawn.
 
     P is the cyclic shift of the chain, P^L = 1 with L = sites / period.
     With r_a the representative and d_a the size of orbit a, the states
@@ -315,8 +312,8 @@ def partition_trace(
         cell = tuple(m[_SWAP][:, _SWAP] for m in cell)
     _check_sites(cols)
     period = len(cell)
-    keeps = _suffix_keeps(cols, period)
-    factors = (_cell_row(cell, cols, r, keeps) for r in range(period))
+    reps = _shift_orbits(cols, period)[0][:, 0]
+    factors = (_cell_row(cell, cols, r, reps) for r in range(period))
     return _shift_trace(factors, cols, period, rows // period)
 
 
@@ -436,8 +433,9 @@ def _scan_bytes(points: list, sites: int, kinds: tuple[str, str]) -> int:
     """Bytes of dense matrices a commutation scan may hold, counted as if at once.
 
     The kept transfer matrices (one list, or two when the kinds differ),
-    the last build's working set of three matrices, and for a kind that
-    multiplies two rows (``stagprod``) one more: T1, held while T2 builds.
+    the last build's working set counted as three matrices (a row build
+    peaks at about two), and for a kind that multiplies two rows
+    (``stagprod``) one more: T1, held while T2 builds.
     Their product is the kept matrix, and the commutator products are
     formed only at the orbit-representative rows, a fraction of one
     matrix.  Every entry is a float64, 8 bytes.

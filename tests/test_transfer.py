@@ -14,7 +14,6 @@ from vertex_sheaf.transfer import (
     _row_transfer,
     _scan_bytes,
     _shift_orbits,
-    _suffix_keeps,
     _transfer_of_kind,
     commutation_scan,
     partition_enumerate,
@@ -183,15 +182,14 @@ class TestTransferMatrix:
 
     @pytest.mark.parametrize("parity", [EV, OD])
     def test_entries_match_the_sum_over_auxiliary_strings(self, parity, rng):
+        # 1 site has an empty first half, 3 and 5 sites split unevenly
         w8 = random_eight(rng, parity)
         lx = lax_asym(w8)
         ly = lax_asym(staggered_companion(w8))
         t1, t2 = staggered_transfer_pair(w8, 2)
-        for built, mats in (
-            (transfer_matrix(lax_asym(w8), 3).matrix, [lx] * 3),
-            (t1.matrix, [lx, ly, lx, ly]),
-            (t2.matrix, [ly, lx, ly, lx]),
-        ):
+        cases = [(transfer_matrix(lx, n).matrix, [lx] * n) for n in (1, 2, 3, 5)]
+        cases += [(t1.matrix, [lx, ly, lx, ly]), (t2.matrix, [ly, lx, ly, lx])]
+        for built, mats in cases:
             ref = row_transfer_by_definition(mats)
             assert linalg.max_abs(built - ref) <= 1e-14 * linalg.max_abs(ref)
 
@@ -205,10 +203,21 @@ class TestTransferMatrix:
             tracemalloc.stop()
         assert peak <= 4 * t.matrix.nbytes
 
+    def test_build_peaks_at_two_and_a_half_results(self, rng):
+        # the result and the second of its two batched products
+        lax = lax_odd(random_sym(rng))
+        tracemalloc.start()
+        try:
+            t = transfer_matrix(lax, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * t.matrix.nbytes
+
 
 class TestRepresentativeRows:
-    """Rows restricted by ``_suffix_keeps`` are the dense rows at the orbit
-    representatives, bit for bit."""
+    """Rows restricted to an index array are the dense rows at those
+    indices, bit for bit."""
 
     @pytest.mark.parametrize("sites", range(1, 11))
     @pytest.mark.parametrize("parity", [EV, OD])
@@ -219,19 +228,25 @@ class TestRepresentativeRows:
             rows += [[lx, ly] * (sites // 2), [ly, lx] * (sites // 2)]
         rows += [[m[SWAP][:, SWAP] for m in row] for row in rows]
         for period in (1, 2) if sites % 2 == 0 else (1,):
-            keeps = _suffix_keeps(sites, period)
             reps = _shift_orbits(sites, period)[0][:, 0]
             for mats in rows:
-                assert np.array_equal(_row_transfer(mats, keeps), _row_transfer(mats)[reps])
+                assert np.array_equal(_row_transfer(mats, reps), _row_transfer(mats)[reps])
 
     def test_mixed_real_complex_row(self, rng):
         real = lax_asym(random_eight(rng, OD))
         mats = [real, real * np.exp(0.7j), real, real]
         for period in (1, 2):
-            rows = _row_transfer(mats, _suffix_keeps(4, period))
-            assert rows.dtype == np.complex128
             reps = _shift_orbits(4, period)[0][:, 0]
+            rows = _row_transfer(mats, reps)
+            assert rows.dtype == np.complex128
             assert np.array_equal(rows, _row_transfer(mats)[reps])
+
+    @pytest.mark.parametrize("sites", [1, 2, 5, 8])
+    def test_unsorted_rows_with_a_repeat(self, sites, rng):
+        mats = [lax_asym(random_eight(rng, EV)) for _ in range(sites)]
+        pick = rng.permutation(2**sites)[: max(2, 2**sites // 3)]
+        pick = np.append(pick, pick[0])
+        assert np.array_equal(_row_transfer(mats, pick), _row_transfer(mats)[pick])
 
 
 class TestRealArithmetic:
@@ -272,7 +287,7 @@ class TestRealArithmetic:
         ref = row_transfer_by_definition(mats)
         assert linalg.max_abs(t - ref) <= 1e-14 * linalg.max_abs(ref)
 
-    @pytest.mark.parametrize("sites", range(1, 11))
+    @pytest.mark.parametrize("sites", range(1, 13))
     def test_odd_transfer_is_the_even_one_reversed_exactly(self, sites, rng):
         # T_od = S T_ev entry for entry: the odd Lax tensor is the even one
         # with its row leg flipped, and the kernel forms the same products
@@ -314,7 +329,7 @@ class TestStaggeredTransferPair:
         # global spin flip, and the row builds the same products
         w8 = to_eight(random_sym(rng))
         for parity in (OD, EV):
-            for pairs in range(1, 6):
+            for pairs in range(1, 7):
                 t1, t2 = staggered_transfer_pair(reparity(w8, parity), pairs)
                 assert np.array_equal(t1.matrix, t2.matrix)
 
@@ -474,14 +489,9 @@ class TestPartitionFunctions:
         assert np.count_nonzero(weight) == 2**sites
         assert _shift_orbits(sites, period) is _shift_orbits(sites, period)
         assert not images.flags.writeable and not weight.flags.writeable
-        # the suffix masks, chained from the empty suffix, end at the representatives
-        keeps = _suffix_keeps(sites, period)
-        assert _suffix_keeps(sites, period) is keeps and len(keeps) == sites
-        assert not any(keep.flags.writeable for keep in keeps)
-        live = np.zeros(1, dtype=np.intp)
-        for s, keep in enumerate(keeps):
-            live = (live | np.arange(2)[:, None] << s).ravel()[keep]
-        assert np.array_equal(live, images[:, 0])
+        # each representative is its orbit's smallest state, in increasing order
+        assert np.array_equal(images[:, 0], images.min(axis=1))
+        assert np.all(np.diff(images[:, 0]) > 0)
 
     @pytest.mark.parametrize("parity", [EV, OD])
     def test_pruned_enumeration_matches_the_plain_sum(self, parity, rng):
@@ -680,9 +690,9 @@ class TestCommutationScan:
         built = []
         row_transfer = transfer._row_transfer
 
-        def counting(matrices, keeps=None):
+        def counting(matrices, rows=None):
             built.append(len(matrices))
-            return row_transfer(matrices, keeps)
+            return row_transfer(matrices, rows)
 
         monkeypatch.setattr(transfer, "_row_transfer", counting)
         points = [elliptic_weights(mu) for mu in (0.1, 0.3)]
