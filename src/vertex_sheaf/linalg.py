@@ -1,7 +1,7 @@
 """Dense linear algebra kernel shared by every other module.
 
-Matrices keep the dtype of their data: vertex operators and transfer
-matrices are float64, the Yang-Baxter embeddings complex128.
+Matrices keep the dtype of their data: the package's operators are
+float64, and complex input stays complex128.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def rel_commutator_norm(a: np.ndarray, b: np.ndarray, rows=slice(None)) -> float
     return max_abs(a[rows] @ b - b[rows] @ a) / scale
 
 
-def rel_gap(a: complex, b: complex) -> float:
+def rel_gap(a: float, b: float) -> float:
     """|a - b| over the larger magnitude; 0 when both are 0."""
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale > 0.0 else 0.0
@@ -84,7 +84,7 @@ def null_space(m: np.ndarray, rel_tol: float) -> list[np.ndarray]:
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError("null_space expects a matrix")
     n = m.shape[1]
@@ -104,9 +104,10 @@ def two_site_operator(op: np.ndarray, sites: int, p: int, q: int) -> np.ndarray:
     Legs are two-dimensional; ``op`` acts on the ordered pair (p, q) and
     identity elsewhere.  A stack ``(..., 4, 4)`` embeds member by member
     through the same contraction, the stack axes leading.  Used for the
-    three-leg Yang-Baxter embeddings.
+    three-leg Yang-Baxter embeddings.  The identity legs are float64, so
+    a float64 operator embeds as float64 and a complex one as complex128.
     """
-    op = np.asarray(op, dtype=complex)
+    op = np.asarray(op)
     if op.shape[-2:] != (4, 4):
         raise ValueError(f"two_site_operator expects (..., 4, 4) operators, got {op.shape}")
     if p == q or not (0 <= p < sites and 0 <= q < sites):
@@ -116,7 +117,7 @@ def two_site_operator(op: np.ndarray, sites: int, p: int, q: int) -> np.ndarray:
     operands = [op.reshape(*stack, 2, 2, 2, 2), [..., p, q, sites + p, sites + q]]
     for x in range(sites):
         if x not in (p, q):
-            operands += [np.eye(2, dtype=complex), [x, sites + x]]
+            operands += [np.eye(2), [x, sites + x]]
     dim = 2**sites
     return np.einsum(*operands, [..., *range(2 * sites)]).reshape(*stack, dim, dim)
 

@@ -6,11 +6,12 @@ quantum label), the one eight-weight Lax constructor (its family is the
 weights' parity), and everything needed to test the Yang-Baxter equation
 numerically: leg embeddings, residuals, the six functional relations,
 and an SVD kernel solver that discovers the intertwiner from scratch.
-The solver's 64x16 linear system is two einsum contractions of the
-embedded Lax products with an identity.
+The solver's 64x16 linear system applies the three-leg relation to the
+16 unit matrices embedded on legs 1, 2.
 
 Every 4x4 vertex operator, Lax operator and intertwiner alike, is a
 plain float64 array: eight real weights on one of two sparsity patterns.
+Embeddings, solver and gauge keep that dtype.
 ``SLOTS`` is the one vertex dictionary of where w1..w8 sit, filled by
 ``vertex_matrix`` and read back by ``matches_pattern``, and both
 partition backends of the transfer module read their weights through it.
@@ -176,7 +177,7 @@ def functional_residuals(
     Returns the six left-hand sides verbatim; all vanish exactly when
     (r1..r4) fills the intertwiner of the two points.
     """
-    r1, r2, r3, r4 = (complex(x) for x in r)
+    r1, r2, r3, r4 = r
     ap, bp, cp, dp = ws_p.as_tuple()
     app, bpp, cpp, dpp = ws_pp.as_tuple()
     return np.array(
@@ -197,7 +198,7 @@ def normalize_gauge(m: np.ndarray) -> np.ndarray:
     Removes the scalar freedom the Yang-Baxter equation leaves in an
     intertwiner.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     pivot = m.flat[int(np.argmax(np.abs(m)))]
     if pivot == 0.0:
         raise ValueError("cannot normalize the zero matrix")
@@ -210,22 +211,17 @@ def solve_intertwiner(
     """Numerically solve the three-leg relation for an unknown 4x4 R.
 
     Vectorizes R -> R12 (L'13 L''23) - (L''23 L'13) R12 into a 64x16
-    linear map and returns its SVD kernel dimension together with the
-    kernel vectors reshaped to 4x4 and gauge-normalized.  A zero Lax
-    operator is rejected: every R would solve the relation.
+    linear map, column j the image of the j-th unit matrix, and returns
+    its SVD kernel dimension together with the kernel vectors reshaped to
+    4x4 and gauge-normalized.  A zero Lax operator is rejected: every R
+    would solve the relation.
     """
     if not (lax_p.any() and lax_pp.any()):
         raise ValueError("cannot solve for the intertwiner of a zero Lax operator")
     l13 = linalg.two_site_operator(lax_p, 3, 0, 2)
     l23 = linalg.two_site_operator(lax_pp, 3, 1, 2)
-    # R12 = R (x) I acts on the legs-1,2 factor of a 4 x 2 split of the rows
-    # of a and of the columns of b, so the column of R[r, q] is a Kronecker
-    # delta times a slice of a (or of b)
-    a = (l13 @ l23).reshape(4, 2, 8)
-    b = (l23 @ l13).reshape(8, 4, 2)
-    eye4 = np.eye(4, dtype=complex)
-    system = (np.einsum("pr,qik->pikrq", eye4, a).reshape(64, 16)
-              - np.einsum("ipk,qr->iqkpr", b, eye4).reshape(64, 16))
+    units = linalg.two_site_operator(np.eye(16).reshape(16, 4, 4), 3, 0, 1)
+    system = (units @ (l13 @ l23) - (l23 @ l13) @ units).reshape(16, 64).T
     kernel = linalg.null_space(system, rel_tol)
     candidates = [normalize_gauge(vec.reshape(4, 4)) for vec in kernel]
     return len(kernel), candidates

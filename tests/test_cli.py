@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -122,6 +123,15 @@ class TestSolveR:
         assert rep["kernel_dim"] == 1
         assert rep["prediction_gap"] < 1e-8
         assert rep["candidates"][0]["pass"] is True
+
+    @pytest.mark.parametrize("mu1,mu2", [("0.55", "0.25"), ("0.3", "0.3"), ("0.2", "0.1")])
+    def test_real_matrices_have_a_plain_zero_imaginary_part(self, capsys, mu1, mu2):
+        # the candidates and the prediction are real, so every imaginary part is +0.0
+        code, rep = run_cli(capsys, "solve-r", "--mu1", mu1, "--mu2", mu2)
+        assert code == 0
+        matrices = [c["matrix"] for c in rep["candidates"]] + [rep["prediction"]]
+        imag = [im for m in matrices for row in m for _, im in row]
+        assert all(im == 0.0 and math.copysign(1.0, im) == 1.0 for im in imag)
 
     def test_off_manifold_weights(self, capsys):
         code, rep = run_cli(capsys, "solve-r",

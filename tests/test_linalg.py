@@ -224,6 +224,12 @@ class TestTwoSiteOperator:
             nested = linalg.two_site_operator(ops[:4].reshape(2, 2, 4, 4), sites, p, q)
             assert np.array_equal(nested.reshape(single[:4].shape), single[:4])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_keeps_the_operand_dtype(self, rng, dtype):
+        ops = rng.normal(size=(5, 4, 4)).astype(dtype)
+        assert linalg.two_site_operator(ops, 3, 0, 2).dtype == dtype
+        assert linalg.two_site_operator(ops[0], 4, 3, 1).dtype == dtype
+
     @pytest.mark.parametrize("shape", [(), (4,), (16,), (2, 2), (4, 2), (3, 4, 3), (2, 8, 8)])
     def test_shapes_other_than_stacked_four_by_four(self, shape):
         with pytest.raises(ValueError, match="4, 4"):

@@ -53,9 +53,9 @@ def column_by_column_system(lax_p: np.ndarray, lax_pp: np.ndarray) -> np.ndarray
     l23 = linalg.two_site_operator(lax_pp, 3, 1, 2)
     a = l13 @ l23
     b = l23 @ l13
-    system = np.zeros((64, 16), dtype=complex)
+    system = np.zeros((64, 16))
     for idx in range(16):
-        basis = np.zeros((4, 4), dtype=complex)
+        basis = np.zeros((4, 4))
         basis[idx // 4, idx % 4] = 1.0
         basis12 = linalg.two_site_operator(basis, 3, 0, 1)
         system[:, idx] = (basis12 @ a - b @ basis12).reshape(64)
@@ -306,6 +306,19 @@ class TestSolveIntertwiner:
             sheaf_r_elliptic((OD, OD), K, LAM, mu_p - mu_pp)
         )
         assert linalg.max_abs(found - predicted) < 1e-8
+
+    @pytest.mark.parametrize("lax", [lax_odd, lax_even])
+    def test_real_lax_operators_give_float64_candidates(self, lax):
+        dim, candidates = solve_intertwiner(
+            lax(elliptic_weights(0.55)), lax(elliptic_weights(0.25))
+        )
+        assert dim == 1
+        assert candidates[0].dtype == np.float64
+
+    def test_normalize_gauge_keeps_float64(self, rng):
+        m = normalize_gauge(-rng.uniform(0.1, 1.0, size=(4, 4)))
+        assert m.dtype == np.float64
+        assert m.max() == 1.0
 
     def test_coincident_points(self):
         lax = lax_odd(elliptic_weights(0.3))

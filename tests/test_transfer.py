@@ -382,6 +382,12 @@ class TestPartitionFunctions:
         scale = linalg.max_abs(t) ** 3 * 8
         assert abs(partition_trace(w8, lattice)) < 1e-12 * scale
 
+    @pytest.mark.parametrize("backend", [partition_trace, partition_enumerate])
+    @pytest.mark.parametrize("parity", [EV, OD])
+    def test_backends_return_a_python_float(self, backend, parity, rng):
+        z = backend(random_eight(rng, parity), LatticeSpec(2, 4), staggered=True)
+        assert type(z) is float
+
     def test_even_all_ones_counts_configurations(self):
         w8 = WeightsEight((1,) * 8, EV)
         z = partition_enumerate(w8, LatticeSpec(2, 2))
