@@ -252,7 +252,7 @@ def cmd_wukunz(args, tol) -> tuple[dict, bool]:
         "seed": args.seed,
         "tol": tol,
     }
-    report.update(rep)
+    report.update(rep, lhs=[rep["lhs"], 0.0], rhs=[rep["rhs"], 0.0])
     return report, rep["rel_diff"] < tol
 
 

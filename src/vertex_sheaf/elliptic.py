@@ -190,6 +190,14 @@ class EllipticPoint:
         return params
 
 
+@functools.cache
+def _curve_thetas(k: float, lam: float) -> tuple[complex, complex]:
+    """Theta(i lam) and H(i lam), cached per (k, lam): every spectral
+    point of one curve shares them."""
+    params = ThetaParams.from_modulus(k)
+    return theta_t(1j * lam, params), theta_h(1j * lam, params)
+
+
 def baxter_weights(point: EllipticPoint) -> WeightsSym:
     """Symmetric weights (a, b, c, d) at an elliptic point.
 
@@ -200,15 +208,14 @@ def baxter_weights(point: EllipticPoint) -> WeightsSym:
 
     The four products are real for real (k, lam, mu); the imaginary
     residue is checked before the real parts are returned.  Sweeping mu
-    at fixed (k, lam) leaves both quadric invariants constant.
+    at fixed (k, lam) leaves both quadric invariants constant, and the
+    two factors at i lam are evaluated once per (k, lam).
     """
     params = point.validate()
     lam, mu = point.lam, point.mu
-    u_lam = 1j * lam
     u_minus = 0.5j * (lam - mu)
     u_plus = 0.5j * (lam + mu)
-    th_lam = theta_t(u_lam, params)
-    h_lam = theta_h(u_lam, params)
+    th_lam, h_lam = _curve_thetas(point.k, lam)
     th_minus = theta_t(u_minus, params)
     h_minus = theta_h(u_minus, params)
     th_plus = theta_t(u_plus, params)

@@ -397,8 +397,8 @@ def wu_kunz_check(
     lhs = compute(w8, lattice, staggered=False)
     rhs = compute(reparity(w8, w8.parity.flipped), lattice, staggered=True)
     return {
-        "lhs": [lhs, 0.0],
-        "rhs": [rhs, 0.0],
+        "lhs": lhs,
+        "rhs": rhs,
         "rel_diff": linalg.rel_gap(lhs, rhs),
         "lattice": [lattice.rows, lattice.cols],
         "model": w8.parity.value,

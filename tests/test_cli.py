@@ -262,6 +262,13 @@ class TestWuKunz:
         assert rep["rel_diff"] < 1e-12
         assert rep["pass"] is True
 
+    def test_report_keeps_wire_pairs_and_key_order(self, capsys):
+        _, rep = run_cli(capsys, "wukunz", "--seed", "42")
+        assert list(rep) == ["command", "weights", "seed", "tol", "lhs", "rhs",
+                             "rel_diff", "lattice", "model", "backend", "pass"]
+        for side in ("lhs", "rhs"):
+            assert isinstance(rep[side][0], float) and rep[side][1] == 0.0
+
 
 def test_backends_dispatch_through_the_module_attributes(capsys, monkeypatch):
     # a wrapper installed on a module attribute, as a profiler's span is,

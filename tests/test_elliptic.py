@@ -215,6 +215,38 @@ class TestBaxterWeights:
         baxter_weights(EllipticPoint(0.3, 0.7, 0.2))
         assert baxter_weights(EllipticPoint(0.5, 0.7, 0.2)).a == 0.15184501432783612
 
+    def test_curve_factors_are_bit_identical(self):
+        # the uncached formula, every factor evaluated at each point
+        k, lam = 0.45, 0.62
+        params = ThetaParams.from_modulus(k)
+        for mu in (-0.3, 0.0, 0.17, 0.4):
+            um, up, ul = 0.5j * (lam - mu), 0.5j * (lam + mu), 1j * lam
+            th_l, h_l = theta_t(ul, params), theta_h(ul, params)
+            expected = (
+                (-1j * th_l * theta_h(um, params) * theta_t(up, params)).real,
+                (-1j * th_l * theta_t(um, params) * theta_h(up, params)).real,
+                (-1j * h_l * theta_t(um, params) * theta_t(up, params)).real,
+                (1j * h_l * theta_h(um, params) * theta_h(up, params)).real,
+            )
+            assert baxter_weights(EllipticPoint(k, lam, mu)).as_tuple() == expected
+
+    def test_ybe_evaluates_the_curve_factors_once(self, monkeypatch):
+        from vertex_sheaf.operators import sheaf_weight_points
+
+        calls = []
+        for name in ("theta_h", "theta_t"):
+            def spy(*args, _fn=getattr(elliptic, name)):
+                calls.append(args)
+                return _fn(*args)
+
+            monkeypatch.setattr(elliptic, name, spy)
+        elliptic._curve_thetas.cache_clear()
+        # three spectral points at one (k, lam): 2 shared + 3 x 4 products
+        sheaf_weight_points(0.21, 0.33, 0.55, 0.71)
+        assert len(calls) == 14
+        sheaf_weight_points(0.12, 0.25, 0.55, 0.71)
+        assert len(calls) == 26
+
 
 def test_series_cap_is_an_error():
     # a synthetic params object with q ~ 1 forces the cap

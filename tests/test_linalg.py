@@ -55,8 +55,9 @@ class TestAsMatrix:
 
 
 class TestCommutatorNorm:
-    def test_self_commutation_exact_zero(self, rng):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    @pytest.mark.parametrize("dim", [4, 8, 16])
+    def test_self_commutation_exact_zero(self, dim, rng):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         assert linalg.rel_commutator_norm(a, a) == 0.0
 
     def test_pauli_pair(self):
@@ -91,6 +92,78 @@ class TestCommutatorNorm:
         r1 = linalg.rel_commutator_norm(a, b)
         r2 = linalg.rel_commutator_norm(100.0 * a, 1e-3 * b)
         assert r1 == pytest.approx(r2, rel=1e-12)
+
+
+def dense_commutator(a, b):
+    """The dense reference: both full products, no sector blocks."""
+    scale = linalg.max_abs(a) * linalg.max_abs(b)
+    return linalg.max_abs(a @ b - b @ a) / scale if scale else 0.0
+
+
+def assert_matches_dense(a, b):
+    # 1e-14 absolute, relative once the norm exceeds 1
+    ref = dense_commutator(a, b)
+    assert abs(linalg.rel_commutator_norm(a, b) - ref) <= 1e-14 * max(1.0, ref)
+
+
+def random_matrix(rng, dim, complex_):
+    m = rng.normal(size=(dim, dim))
+    return m + 1j * rng.normal(size=(dim, dim)) if complex_ else m
+
+
+class TestSectorBlockedCommutator:
+    def test_parity_sectors(self):
+        even, odd = linalg._parity_sectors(8)
+        assert even.tolist() == [0, 3, 5, 6] and odd.tolist() == [1, 2, 4, 7]
+        assert [s.tolist() for s in linalg._parity_sectors(1)] == [[0], []]
+        # any dimension, not only powers of two
+        assert [s.tolist() for s in linalg._parity_sectors(5)] == [[0, 3], [1, 2, 4]]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_random_matrices_match_dense(self, dim, complex_, rng):
+        for _ in range(5):
+            a, b = random_matrix(rng, dim, complex_), random_matrix(rng, dim, complex_)
+            assert_matches_dense(a, b)
+
+    @pytest.mark.parametrize("block", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_one_zero_block(self, block, rng):
+        a, b = random_matrix(rng, 8, False), random_matrix(rng, 8, True)
+        sectors = linalg._parity_sectors(8)
+        a[np.ix_(sectors[block[0]], sectors[block[1]])] = 0.0
+        assert set(linalg._sector_blocks(a)) == {(0, 0), (0, 1), (1, 0), (1, 1)} - {block}
+        for x, y in ((a, b), (b, a)):
+            assert_matches_dense(x, y)
+
+    def test_zero_matrix(self, rng):
+        a = random_matrix(rng, 8, True)
+        assert linalg.rel_commutator_norm(np.zeros((8, 8)), a) == 0.0
+        assert linalg.rel_commutator_norm(a, np.zeros((8, 8))) == 0.0
+
+    def test_no_surviving_term_is_exact_zero(self, rng):
+        # A lives on the even sector only, B on the odd one: no block
+        # product survives and C is exactly zero, as the dense path finds
+        even, odd = linalg._parity_sectors(8)
+        a, b = np.zeros((8, 8)), np.zeros((8, 8))
+        a[np.ix_(even, even)] = rng.normal(size=(4, 4))
+        b[np.ix_(odd, odd)] = rng.normal(size=(4, 4))
+        assert linalg.rel_commutator_norm(a, b) == dense_commutator(a, b) == 0.0
+
+    def test_zero_detection_has_no_tolerance(self):
+        # one off-sector entry of 1e-300 (basis 0 is even, 1 odd) is the
+        # whole commutator of two diagonal operands; dropping its block
+        # would report 0
+        a = np.diag([5.0, 6.0, 7.0, 8.0])
+        a[0, 1] = 1e-300
+        b = np.diag([1.0, 2.0, 3.0, 4.0])
+        expected = dense_commutator(a, b)
+        assert expected == 1e-300 / 32.0
+        assert linalg.rel_commutator_norm(a, b) == expected
+        assert linalg.rel_commutator_norm(b, a) == expected
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            linalg.rel_commutator_norm(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestRelGap:

@@ -368,6 +368,67 @@ class TestStaggeredTransferPair:
             staggered_transfer_pair(random_eight(rng, OD), 7)
 
 
+def dense_commutator(a, b):
+    """The dense reference: both full products, no sector blocks."""
+    return linalg.max_abs(a @ b - b @ a) / (linalg.max_abs(a) * linalg.max_abs(b))
+
+
+def assert_matches_dense(a, b):
+    # 1e-14 absolute, relative once the norm exceeds 1 (it reaches ~50
+    # for non-commuting 10-site rows, where 1e-14 is a few ulps)
+    ref = dense_commutator(a, b)
+    assert abs(linalg.rel_commutator_norm(a, b) - ref) <= 1e-14 * max(1.0, ref)
+
+
+#: the sigma^z-parity blocks a row keeps: its sectors, or swapped
+KEEP, SWAP_SECTORS = {(0, 0), (1, 1)}, {(0, 1), (1, 0)}
+
+
+class TestSectorBlockedCommutator:
+    """The full-operand commutator multiplies only the sector blocks a
+    row keeps, and agrees with the dense products to rounding."""
+
+    @pytest.mark.parametrize("sites", range(1, 11))
+    def test_symmetric_rows(self, sites, rng):
+        w1, w2 = random_sym(rng), random_sym(rng)
+        ev1, ev2, od1, od2 = (
+            transfer_matrix(lax(w), sites).matrix
+            for lax, w in ((lax_even, w1), (lax_even, w2), (lax_odd, w1), (lax_odd, w2))
+        )
+        # an odd row flips every vertex's parity: it swaps the sectors at odd n
+        assert set(linalg._sector_blocks(ev1)) == KEEP
+        assert set(linalg._sector_blocks(od1)) == (SWAP_SECTORS if sites % 2 else KEEP)
+        for a, b in ((ev1, ev2), (od1, od2), (ev1, od2), (od1, ev2)):
+            assert_matches_dense(a, b)
+
+    @pytest.mark.parametrize("pairs", range(1, 6))
+    @pytest.mark.parametrize("parity", [OD, EV])
+    def test_staggered_rows_and_products(self, pairs, parity, rng):
+        t1a, t2a = staggered_transfer_pair(random_eight(rng, parity), pairs)
+        t1b, t2b = staggered_transfer_pair(random_eight(rng, parity), pairs)
+        prod_a, prod_b = t1a.matrix @ t2a.matrix, t1b.matrix @ t2b.matrix
+        assert set(linalg._sector_blocks(prod_a)) == KEEP
+        for a, b in ((t1a.matrix, t2b.matrix), (t1a.matrix, t1b.matrix), (prod_a, prod_b)):
+            assert_matches_dense(a, b)
+
+    def test_peak_below_dense_path(self):
+        # 10 sites: the dense path holds d x d products, the blocked one
+        # half-size blocks of the operands and (d/2)-square products
+        first, second = sample_krinsky_pair(3)
+        t1a, t2a = staggered_transfer_pair(first, 5)
+        t1b, t2b = staggered_transfer_pair(second, 5)
+        prod_a, prod_b = t1a.matrix @ t2a.matrix, t1b.matrix @ t2b.matrix
+        peaks = []
+        for norm in (dense_commutator, linalg.rel_commutator_norm):
+            tracemalloc.start()
+            norm(prod_a, prod_b)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        dense, blocked = peaks
+        assert dense >= 2 * 8 * 4**10
+        assert blocked < 0.8 * dense
+
+
 class TestPartitionFunctions:
     def test_odd_single_site_torus_vanishes(self, rng):
         ws = reparity(to_eight(random_sym(rng)), OD)
@@ -613,6 +674,8 @@ class TestWuKunz:
     def test_report_serialization(self, rng):
         rep = wu_kunz_check(random_eight(rng, OD), LatticeSpec(2, 2))
         assert list(rep) == ["lhs", "rhs", "rel_diff", "lattice", "model", "backend"]
+        # plain floats: the CLI builds its [re, im] wire pairs
+        assert type(rep["lhs"]) is float and type(rep["rhs"]) is float
 
     def test_odd_sized_torus_rejected(self, rng):
         with pytest.raises(ValueError, match="even-sized"):
