@@ -113,31 +113,22 @@ def _sector_max(a: dict, b: dict, x: int, y: int) -> float:
     return 0.0 if c is None else max_abs(c)
 
 
-def rel_commutator_norm(a: np.ndarray, b: np.ndarray, rows=None) -> float:
+def rel_commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     """``max_abs(AB - BA)`` divided by the product of the operand norms.
 
     Exactly zero for an operand against itself; commuting operands leave
     rounding-level residue, as the two products sum in different orders.
 
-    With ``rows`` left at None the commutator is formed block by block
-    over the two sigma^z-parity sectors of the basis (even and odd bit
-    count of the index).  Each operand's four sector blocks are gathered
-    and the exactly zero ones dropped, with no tolerance; a block of
+    The commutator is formed block by block over the two sigma^z-parity
+    sectors of the basis (even and odd bit count of the index).  Each
+    operand's four sector blocks are gathered and the exactly zero ones
+    dropped, with no tolerance; a block of
     C = AB - BA sums only the block products whose factors both survive.
     A row transfer matrix, and any product of rows, maps each sector to
     one sector, so two of its four blocks are zero: a pair of them costs
     four (d/2)-square products instead of two d-square ones, a quarter
     of the arithmetic, and the result differs from the dense one only by
     rounding.  A general dense pair keeps every block product.
-
-    ``rows`` (an index into the rows) forms only those rows of AB - BA,
-    densely.  The caller vouches that they hold its largest entry, as
-    the orbit representatives of a permutation that commutes with both
-    operands do (C[P r, P s] = C[r, s] for C = AB - BA); the scale is
-    always taken over the full operands.  Those rows are about 1/L of a
-    chain's basis, so gathering and zero-checking the sector blocks,
-    which reads every entry of both operands, would cost as much as the
-    products it saves.
     """
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
@@ -147,8 +138,6 @@ def rel_commutator_norm(a: np.ndarray, b: np.ndarray, rows=None) -> float:
     scale = max_abs(a) * max_abs(b)
     if scale == 0.0:
         return 0.0
-    if rows is not None:
-        return max_abs(a[rows] @ b - b[rows] @ a) / scale
     a, b = _sector_blocks(a), _sector_blocks(b)
     return max(_sector_max(a, b, x, y) for x in (0, 1) for y in (0, 1)) / scale
 

@@ -23,6 +23,13 @@ weight is already exactly zero.  The enumeration never forms a transfer
 matrix.  Agreement between the two validates both; disagreement would
 expose a convention error immediately.
 
+Commutation scans share the trace's momentum blocks
+(``_momentum_blocks``): each operand is built only at the orbit
+representatives of the cyclic shift and becomes its blocks A_k, the
+commutator's blocks are A_k B_k - B_k A_k, and its largest entry is read
+from the representative rows that an inverse DFT over k gives back
+(``commutation_scan``).  Neither path forms a 2^sites x 2^sites matrix.
+
 Edge layout of the enumeration backend, fixed for reproducibility:
 vertices row-major, each vertex (r, c) owning its left horizontal edge
 and its bottom vertical edge, bit index 2*(r*cols + c) for the
@@ -45,6 +52,7 @@ from .weights import WeightsEight, WeightsSym, reparity, staggered_companion, to
 __all__ = [
     "MAX_SITES",
     "MAX_ENUM_EDGES",
+    "MAX_SCAN_SITES",
     "MAX_SCAN_BYTES",
     "TransferMatrix",
     "LatticeSpec",
@@ -66,7 +74,11 @@ MAX_SITES = 12
 #: enumeration guard: 2 * rows * cols edges, about 2^(edges/2 + 2) live
 #: partial configurations (13 MiB at 32 edges)
 MAX_ENUM_EDGES = 32
-#: memory guard: dense matrices one commutation scan may hold at once (2 GiB)
+#: chain guard of a commutation scan, which builds no dense matrix: at 14
+#: sites an operand's representative rows are 148 MiB of float64
+MAX_SCAN_SITES = 14
+#: memory guard: representative rows and momentum blocks one commutation
+#: scan may hold at once (2 GiB)
 MAX_SCAN_BYTES = 2**31
 
 
@@ -101,18 +113,21 @@ _NO_SITES = np.eye(2).reshape(2, 1, 2, 1)
 
 
 def _open_product(laxes: list[np.ndarray]) -> np.ndarray:
-    """Open product acc[a, I, b, J] of Lax tensors along part of a row.
+    """Open product acc[(z,) a, I, b, J] of Lax tensors along part of a row.
 
     a enters the first site and b leaves the last.  The product grows from
     the last site, each new site's quantum legs becoming the leading bits
-    of I and J, so the long column tail stays the innermost axis.
+    of I and J, so the long column tail stays the innermost axis.  Stacked
+    tensors (a leading axis z) multiply member by member.
     """
     if not laxes:
         return _NO_SITES
+    z = "z" * (laxes[-1].ndim - 4)
     acc = laxes[-1]
     for lax in laxes[-2::-1]:
-        d = 2 * acc.shape[3]
-        acc = np.einsum("aibj,bIcJ->aiIcjJ", lax, acc).reshape(2, -1, 2, d)
+        d = 2 * acc.shape[-1]
+        acc = np.einsum(f"{z}aibj,{z}bIcJ->{z}aiIcjJ", lax, acc)
+        acc = acc.reshape(*acc.shape[: len(z)], 2, -1, 2, d)
     return acc
 
 
@@ -136,25 +151,31 @@ def _row_transfer(matrices: list[np.ndarray], rows=None) -> np.ndarray:
 
     ``rows`` (an index array in any order, repeats allowed) restricts the
     row index: only those rows are formed, each equal to the dense row.
+
+    Stacks of n vertex matrices (n, 4, 4) at every site give the stack of
+    n rows in one pass, each formed by the same exact products as alone.
     """
-    laxes = [m4.reshape(2, 2, 2, 2) for m4 in matrices]
+    laxes = [m4.reshape(*m4.shape[:-2], 2, 2, 2, 2) for m4 in matrices]
     half = len(laxes) // 2
     left, right = _open_product(laxes[:half]), _open_product(laxes[half:])
-    # left[a, I, b, J] -> [a, I, J, b] and right[b, I', a, J'] -> [a, I', b, J']
-    lt, rt = left.transpose(0, 1, 3, 2), right.transpose(2, 1, 0, 3)
+    # left[(z,) a, I, b, J] -> [a, (z,) I, J, b] and
+    # right[(z,) b, I', a, J'] -> [a, (z,) I', b, J']
+    lt = left.transpose(0, 1, 3, 2) if left.ndim == 4 else left.transpose(1, 0, 2, 4, 3)
+    rt = right.transpose(2, 1, 0, 3) if right.ndim == 4 else right.transpose(3, 0, 2, 1, 4)
     if rows is None:
-        lt, rt = lt[:, :, None], rt[:, None]
+        lt, rt = lt[..., :, None, :, :], rt[..., None, :, :, :]
     else:
-        high, low = np.divmod(rows, rt.shape[1])
-        lt, rt = lt[:, high], rt[:, low]
+        high, low = np.divmod(rows, rt.shape[-3])
+        lt, rt = lt[..., high, :, :], rt[..., low, :, :]
     out = lt[0] @ rt[0]
     out += lt[1] @ rt[1]
-    return out.reshape(-1, left.shape[3] * right.shape[3])
+    stack = out.shape[: -3 if rows is not None else -4]
+    return out.reshape(*stack, -1, left.shape[-1] * right.shape[-1])
 
 
-def _check_sites(sites: int):
-    if not 1 <= sites <= MAX_SITES:
-        raise ValueError(f"chain length {sites} outside 1..{MAX_SITES}")
+def _check_sites(sites: int, limit: int = MAX_SITES):
+    if not 1 <= sites <= limit:
+        raise ValueError(f"chain length {sites} outside 1..{limit}")
 
 
 def transfer_matrix(lax: np.ndarray, sites: int) -> TransferMatrix:
@@ -189,11 +210,13 @@ def _cell_row(cell, sites: int, r: int = 0, rows=None) -> np.ndarray:
     """Row r of the torus, site c reading cell[(r + c) % len(cell)].
 
     The chain must close on the cell, so its length is a multiple of it.
-    ``rows`` restricts the matrix rows as in ``_row_transfer``.
+    ``rows`` restricts the matrix rows as in ``_row_transfer``; a
+    restricted row may run to ``MAX_SCAN_SITES``, a dense one to
+    ``MAX_SITES``.
     """
     if sites % len(cell):
         raise ValueError("staggered kinds need an even chain length")
-    _check_sites(sites)
+    _check_sites(sites, MAX_SITES if rows is None else MAX_SCAN_SITES)
     return _row_transfer([cell[(r + c) % len(cell)] for c in range(sites)], rows)
 
 
@@ -237,52 +260,71 @@ def _shift_orbits(sites: int, period: int) -> tuple[np.ndarray, np.ndarray]:
     return images, weight
 
 
-def _shift_trace(factors, sites: int, period: int, power: int) -> float:
-    """Tr((F1 F2 ...)^power) for real factors that commute with P^period.
+def _momentum_blocks(factors, sites: int, period: int):
+    """Momentum blocks B_k, k = 0..L//2 (..., k, a, b), of real operators F
+    that commute with P^period, from their rows at the orbit representatives.
 
-    Each factor is given by its rows at the orbit representatives, in the
-    order of ``_shift_orbits`` (``_row_transfer`` restricted to them): no
-    other row is read, so no dense factor is ever formed.  ``factors`` may
-    be a lazy iterable: each factor is released once its blocks are
-    formed, before the next one is drawn.
+    Yields the blocks of each array of rows (..., a, 2^sites) drawn from
+    ``factors``: F's rows at the representatives, in the order of
+    ``_shift_orbits`` (``_row_transfer`` restricted to them).  No other
+    row is read, so no dense F is ever formed, and the generator drops
+    its hold on each array of rows as soon as it is gathered.  A stack
+    of operators (leading axes) gives the stack of their blocks, each as
+    if alone.
 
     P is the cyclic shift of the chain, P^L = 1 with L = sites / period.
     With r_a the representative and d_a the size of orbit a, the states
     |a, k> = (sqrt(d_a) / L) sum_t exp(-2 pi i k t / L) P^t |r_a>
     are orthonormal; they exist only where k d_a = 0 mod L (otherwise
     the sum of phases cancels over each period of the orbit), and for
-    each k = 0..L-1 they span the momentum-k eigenspace of P.  A factor
-    F that commutes with P keeps k and has the block
+    each k = 0..L-1 they span the momentum-k eigenspace of P.  F keeps k
+    and has the block
     <a, k|F|b, k> = sqrt(d_a d_b) / L * sum_t exp(-2 pi i k t / L) F[r_a, P^t r_b],
     one FFT over t of the representative rows gathered at the orbit
     images.  The sum over t repeats with period d_a and with period d_b,
     so where either orbit does not carry k the entry is an exact
     cancellation that the FFT only reaches to rounding: the zero weight
     restores the exact 0, and the missing states become zero rows and
-    columns that no power or trace sees.
+    columns that no product, power or trace sees.  A real F has
+    B_(L-k) = conj(B_k), the FFT of a real sequence at -k, and the weights
+    at L - k equal those at k, so the L // 2 + 1 blocks of a real FFT
+    determine F.
+    """
+    images, weight = _shift_orbits(sites, period)
+    weight = weight[: images.shape[1] // 2 + 1]
+    for rows in factors:
+        # take, unlike indexing, lays the gather out in C order: a fast copy
+        gathered = np.take(rows, images, axis=-1)
+        del rows
+        spectrum = np.fft.rfft(gathered, axis=-1)  # (..., a, b, k)
+        del gathered
+        stack = tuple(range(spectrum.ndim - 3))
+        blocks = spectrum.transpose(*stack, -1, -3, -2)
+        blocks *= weight[:, :, None] * weight[:, None, :]
+        yield blocks
 
-    The trace is the sum over k of the block traces tr_k.  A real F has
-    B_(L-k) = conj(B_k), the FFT of a real sequence at -k, and the
-    weights at L - k equal those at k, so tr_(L-k) = conj(tr_k) for every
-    power and product of real factors.  Hence
+
+def _shift_trace(factors, sites: int, period: int, power: int) -> float:
+    """Tr((F1 F2 ...)^power) for real factors that commute with P^period.
+
+    Each factor is given by its rows at the orbit representatives and
+    becomes its momentum blocks (``_momentum_blocks``).  ``factors`` may
+    be a lazy iterable: each factor is released once it is gathered,
+    before its transform and before the next one is drawn.
+
+    The trace is the sum over k of the block traces tr_k.  For real
+    factors B_(L-k) = conj(B_k), so tr_(L-k) = conj(tr_k) for every
+    power and product.  Hence
     Tr = tr_0 + 2 Re sum_(0<k<L/2) tr_k (+ tr_(L/2) when L is even),
     with tr_0 and tr_(L/2) real: only the L // 2 + 1 blocks of a real FFT
     are formed and multiplied, in one batched matrix power, and the
     result is exactly real.
     """
-    images, weight = _shift_orbits(sites, period)
-    length = images.shape[1]
-    weight = weight[: length // 2 + 1]
     step = None
-    for f in factors:
-        gathered = f[:, images]
-        del f  # a lazily built next factor then never meets this one
-        blocks = np.fft.rfft(gathered, axis=2).transpose(2, 0, 1)
-        del gathered
-        blocks *= weight[:, :, None] * weight[:, None, :]
+    for blocks in _momentum_blocks(factors, sites, period):
         step = blocks if step is None else step @ blocks
     traces = np.linalg.matrix_power(step, power).diagonal(axis1=1, axis2=2).sum(axis=1).real
-    traces[1 : (length + 1) // 2] *= 2
+    traces[1 : (sites // period + 1) // 2] *= 2
     return float(traces.sum())
 
 
@@ -409,40 +451,150 @@ def wu_kunz_check(
 _SYMMETRIC_KINDS = ("even", "odd")
 #: the rows of the staggered cell each staggered kind multiplies, in order
 _STAGGERED_ROWS = {"stag1": (0,), "stag2": (1,), "stagprod": (0, 1)}
+#: entries one batched step of a commutation scan may span: a short
+#: chain's operands and pairs share each numpy call, a long chain's go
+#: one at a time
+_SCAN_BATCH = 2**16
 
 
-def _transfer_of_kind(point, kind: str, sites: int) -> np.ndarray:
-    if kind in _SYMMETRIC_KINDS:
-        if not isinstance(point, WeightsSym):
+def _batch(entries: int) -> int:
+    """Items of ``entries`` entries each in one batched step, one at least."""
+    return max(1, _SCAN_BATCH // entries)
+
+
+def _transfer_of_kind(points: list, kinds: list, sites: int, period: int):
+    """The transfer operators of kinds[i] at points[i] (all symmetric kinds,
+    or one staggered kind) as their momentum blocks for the shift by
+    ``period`` sites (points x k x a x b) and their largest entries.
+
+    Only the rows at the orbit representatives are built, a batch of
+    operands in one stacked call: a ``stagprod`` operator is the block
+    product (T1)_k (T2)_k, and its largest entry is read from the
+    representative rows that its blocks give back.  A non-finite row is
+    refused before it becomes a block.
+    """
+    if all(kind in _SYMMETRIC_KINDS for kind in kinds):
+        if not all(isinstance(p, WeightsSym) for p in points):
             raise ValueError("symmetric kinds take WeightsSym points")
-        lax = lax_even(point) if kind == "even" else lax_odd(point)
-        return transfer_matrix(lax, sites).matrix
-    if kind in _STAGGERED_ROWS:
-        if isinstance(point, WeightsSym):
-            point = to_eight(point)
-        cell = _cell(point, staggered=True)
-        rows = [
-            TransferMatrix(_cell_row(cell, sites, r), sites).matrix
-            for r in _STAGGERED_ROWS[kind]
-        ]
-        return functools.reduce(np.matmul, rows)
-    raise ValueError(f"unknown transfer kind {kind!r}")
+        cells = [((lax_even if kind == "even" else lax_odd)(p),) for p, kind in zip(points, kinds)]
+        rows = (0,)
+    elif kinds[0] in _STAGGERED_ROWS:
+        points = [to_eight(p) if isinstance(p, WeightsSym) else p for p in points]
+        cells, rows = [_cell(p, staggered=True) for p in points], _STAGGERED_ROWS[kinds[0]]
+    else:
+        raise ValueError(f"unknown transfer kind {kinds[0]!r}")
+    images = _shift_orbits(sites, period)[0]
+    orbits, length = images.shape
+    blocks = np.empty((len(cells), length // 2 + 1, orbits, orbits), dtype=complex)
+    scales = np.empty(len(cells))
+    step = _batch(orbits * 2**sites)
+    for lo in range(0, len(cells), step):
+        part = slice(lo, lo + step)
+        # the batch's cell: a stack of vertex matrices on each sublattice
+        cell = tuple(np.array(stack) for stack in zip(*cells[part]))
+        product = None
+        for r in rows:
+            row = _cell_row(cell, sites, r, images[:, 0])
+            # nan and inf propagate to the maximum
+            scales[part] = np.abs(row).reshape(len(row), -1).max(axis=1)
+            if not np.isfinite(scales[part]).all():
+                raise ValueError("transfer rows contain non-finite entries")
+            (factor,) = _momentum_blocks([row], sites, period)
+            del row  # released before the next row builds
+            product = factor if product is None else product @ factor
+        blocks[part] = product
+        if len(rows) > 1:  # the kept copy is made: product may be rescaled
+            scales[part] = _largest_entries(product, sites, period)
+    return blocks, scales
+
+
+@functools.cache
+def _inverse_dft(sites: int, period: int) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse real DFT over the momenta k = 0..L//2 as a table, and
+    sqrt(L / d_a) for each orbit, the inverse of its weight wherever that
+    is nonzero (L = sites / period, d_a the orbit size).
+
+    Row t of the L x (L // 2 + 1) table is (c_k / L) exp(2 pi i k t / L),
+    c_k = 1 at k = 0 and k = L/2 and 2 between, the angle reduced mod L:
+    the real part of its product with a half spectrum is the inverse real
+    DFT.  Read-only, cached like the orbits.
+    """
+    images, weight = _shift_orbits(sites, period)
+    length = images.shape[1]
+    k, t = np.arange(length // 2 + 1), np.arange(length)[:, None]
+    count = np.where((k == 0) | (2 * k == length), 1.0, 2.0)
+    table = count / length * np.exp(2j * np.pi * (k * t % length) / length)
+    scale = 1.0 / weight[0]
+    table.flags.writeable = scale.flags.writeable = False
+    return table, scale
+
+
+def _largest_entries(blocks: np.ndarray, sites: int, period: int) -> np.ndarray:
+    """max |M[r_a, P^t r_b]| over t, a and b for each of a stack of real
+    operators M that commute with P^period, from their momentum blocks
+    (n x k x a x b), which it rescales in place.
+
+    Block k holds w_a w_b times the DFT over t of M[r_a, P^t r_b]; that
+    sequence repeats with the period of both orbits, so its DFT vanishes
+    wherever either weight does, and so does the block, exactly: a zero
+    weight zeroes its row and column of every block and of every product
+    of blocks.  Dividing by the nonzero weights and putting 0 elsewhere
+    therefore divides every k by the same w_a w_b = sqrt(d_a d_b) / L,
+    before the inverse real DFT over k gives the L entries back.  That
+    DFT is one product with a cached table (``_inverse_dft``), for the few
+    momenta of a chain cheaper than an inverse FFT for every (a, b).
+    """
+    inverse, scale = _inverse_dft(sites, period)
+    n, momenta, orbits, _ = blocks.shape
+    blocks *= scale[:, None] * scale
+    entries = (inverse @ blocks.reshape(n, momenta, -1)).real.reshape(n, -1)
+    # max |entry| without an |entries| copy
+    return np.maximum(entries.max(axis=1), -entries.min(axis=1))
+
+
+def _commutator_norms(a, a_scale, b, b_scale, sites: int, period: int) -> np.ndarray:
+    """max|A B_j - B_j A| / (max|A| max|B_j|) for an operand A, or a stack
+    of them paired member by member, against a stack of operands B_j, from
+    their blocks and largest entries (``_transfer_of_kind``).
+
+    The commutator's blocks are C_k = A_k B_k - B_k A_k.  The two products
+    are formed alike in either order and for any stack, so swapping the
+    operands negates C exactly, an operand against itself gives exactly
+    0, and a norm is the one its pair gives alone.  A non-finite
+    commutator or scale is refused: it never becomes a norm.  An all-zero
+    operand gives 0.
+    """
+    c = a @ b
+    c -= b @ a
+    top, scale = _largest_entries(c, sites, period), a_scale * b_scale
+    if not (np.isfinite(top).all() and np.isfinite(scale).all()):
+        raise ValueError("commutator or its scale is non-finite")
+    return np.divide(top, scale, out=np.zeros_like(top), where=scale != 0.0)
 
 
 def _scan_bytes(points: list, sites: int, kinds: tuple[str, str]) -> int:
-    """Bytes of dense matrices a commutation scan may hold, counted as if at once.
+    """Bytes a commutation scan may hold, counted as if at once.
 
-    The kept transfer matrices (one list, or two when the kinds differ),
-    the last build's working set counted as three matrices (a row build
-    peaks at about two), and for a kind that multiplies two rows
-    (``stagprod``) one more: T1, held while T2 builds.
-    Their product is the kept matrix, and the commutator products are
-    formed only at the orbit-representative rows, a fraction of one
-    matrix.  Every entry is a float64, 8 bytes.
+    With m orbits of the shift and L // 2 + 1 momenta, an operand's
+    representative rows R are m x 2^sites float64 (8 bytes an entry) and
+    its blocks B are (L // 2 + 1) x m x m complex128 (16 bytes an entry).
+    The count is the kept blocks, one B a point and kind; one batch of
+    operands (two symmetric kinds build as one stack) at 2 R + 2 B each,
+    the rows and their gather, the spectrum and the weighted blocks, and
+    one B more for ``stagprod``, T1's blocks held while T2 builds; and one
+    batch of pairs at 3 B each, C and its entries, complex before their
+    real part is read.
     """
-    kept = len(points) * (1 if kinds[1] == kinds[0] else 2)
-    pair = 1 if any(len(_STAGGERED_ROWS.get(kind, ())) == 2 for kind in kinds) else 0
-    return (kept + 3 + pair) * 8 * 4**sites
+    period = 2 if any(kind in _STAGGERED_ROWS for kind in kinds) else 1
+    orbits, length = _shift_orbits(sites, period)[0].shape
+    row, block = 8 * orbits * 2**sites, 16 * (length // 2 + 1) * orbits**2
+    n, same = len(points), kinds[1] == kinds[0]
+    merged = not same and all(kind in _SYMMETRIC_KINDS for kind in kinds)
+    product = any(len(_STAGGERED_ROWS.get(kind, ())) == 2 for kind in kinds)
+    operands = min(n * (1 + merged), _batch(row // 8))
+    pairs = min(n - 1 if same else n, _batch(block // 16))
+    kept = n * (1 if same else 2)
+    return kept * block + operands * (2 * row + (2 + product) * block) + pairs * 3 * block
 
 
 def commutation_scan(
@@ -450,24 +602,44 @@ def commutation_scan(
 ) -> np.ndarray:
     """Pairwise relative commutator norms between two transfer families.
 
-    Entry (i, j) is the relative commutator of the kinds[0] transfer
-    matrix at points[i] with the kinds[1] transfer matrix at points[j],
-    all on the same chain.  Equal kinds give an exactly symmetric grid
-    (|AB - BA| is |BA - AB|) with a zero diagonal: only i < j is computed,
-    so they need at least two points, or the scan would check nothing.
-    At a symmetric point (``WeightsSym``) the Y matrix is X with its vertical
-    leg flipped, so T2 is T1 conjugated by the global spin flip, which
-    commutes with a symmetric row: stag1 and stag2 are one matrix, and when
-    every point is symmetric, stag2 is read as stag1 and those rules apply.
+    Entry (i, j) is max|AB - BA| / (max|A| max|B|) for the kinds[0]
+    transfer operator A at points[i] and the kinds[1] operator B at
+    points[j], all on the same chain.  Equal kinds give an exactly
+    symmetric grid (|AB - BA| is |BA - AB|) with a zero diagonal: only
+    i < j is computed, so they need at least two points, or the scan
+    would check nothing.  At a symmetric point (``WeightsSym``) the Y
+    matrix is X with its vertical leg flipped, so T2 is T1 conjugated by
+    the global spin flip, which commutes with a symmetric row: stag1 and
+    stag2 are one matrix, and when every point is symmetric, stag2 is
+    read as stag1 and those rules apply.
 
-    Every transfer matrix of the scan commutes with the cyclic shift P^p
-    of the chain, p = 1 when both kinds are symmetric and p = 2 when
-    either is staggered (the cell repeats every two sites), and so does
-    the commutator C = AB - BA: C[P^t r, P^t s] = C[r, s].  Each entry of
-    C therefore appears in a row at an orbit representative of P^p, and
-    the largest is read from those rows alone, at about 1/L of the
-    products of the dense commutator (L = sites / p).  The dense
-    matrices are still built: the scale is taken over them.
+    No 2^sites x 2^sites matrix is formed.  Every operand of the scan
+    commutes with the cyclic shift P^p of the chain, p = 1 when both
+    kinds are symmetric and p = 2 when either is staggered (the cell
+    repeats every two sites).  Each operand is built only at the rows of
+    the orbit representatives r_a of P^p and becomes its momentum blocks
+    A_k, k = 0..L//2 with L = sites / p (``_momentum_blocks``, shared with
+    the trace); a ``stagprod`` operand is the block product (T1)_k (T2)_k.
+    The commutator C = AB - BA commutes with P^p too and has the blocks
+    C_k = A_k B_k - B_k A_k.  Its representative rows C[r_a, P^t r_b]
+    come back from them: divide by the orbit weights where they are
+    nonzero, put 0 elsewhere, and take the inverse real DFT over k
+    (``_largest_entries``).  Since C[P^t x, P^t y] = C[x, y], every entry
+    of C appears in a representative row, so the largest entry of those
+    rows is the largest of C, the statistic of
+    ``linalg.rel_commutator_norm``.  The same holds for each operand: a
+    single row's scale is read from its representative rows as built,
+    and a ``stagprod`` scale from the rows its blocks give back.  With
+    about 2^sites / L orbits, a pair costs 2 (L // 2 + 1) complex
+    products of that size, about 2 / L of the real arithmetic of the two
+    products (2^sites / L) x 2^sites x 2^sites of dense representative
+    rows.  Operands are built, and pairs multiplied, in stacked batches
+    while they are small (``_SCAN_BATCH``), so that a short chain's scan
+    makes few numpy calls.
+
+    Chains up to ``MAX_SCAN_SITES`` sites are accepted, and a scan whose
+    rows and blocks would exceed ``MAX_SCAN_BYTES`` (``_scan_bytes``) is
+    refused before anything is built.
     """
     if not points:
         raise ValueError("commutation scan needs at least one point")
@@ -475,23 +647,30 @@ def commutation_scan(
         kinds = tuple("stag1" if kind == "stag2" else kind for kind in kinds)
     if kinds[1] == kinds[0] and len(points) < 2:
         raise ValueError("a scan of equal kinds needs at least two points")
+    _check_sites(sites, MAX_SCAN_SITES)
     nbytes = _scan_bytes(points, sites, kinds)
     if nbytes > MAX_SCAN_BYTES:
         raise ValueError(
-            f"commutation scan would hold {nbytes // (8 * 4**sites)} dense "
-            f"{sites}-site matrices, {nbytes} bytes, above the {MAX_SCAN_BYTES}-byte limit"
+            f"commutation scan would hold {nbytes} bytes of {sites}-site "
+            f"representative rows and momentum blocks, above the {MAX_SCAN_BYTES}-byte limit"
         )
-    first = [_transfer_of_kind(p, kinds[0], sites) for p in points]
-    second = (
-        first
-        if kinds[1] == kinds[0]
-        else [_transfer_of_kind(p, kinds[1], sites) for p in points]
-    )
     period = 2 if any(kind in _STAGGERED_ROWS for kind in kinds) else 1
-    reps = _shift_orbits(sites, period)[0][:, 0]
-    n = len(points)
+    n, same = len(points), kinds[1] == kinds[0]
+    if same:
+        a, a_scale = b, b_scale = _transfer_of_kind(points, [kinds[0]] * n, sites, period)
+    elif all(kind in _SYMMETRIC_KINDS for kind in kinds):  # one build for both
+        both, scale = _transfer_of_kind(points * 2, [kinds[0]] * n + [kinds[1]] * n, sites, period)
+        a, b, a_scale, b_scale = both[:n], both[n:], scale[:n], scale[n:]
+    else:
+        (a, a_scale), (b, b_scale) = (
+            _transfer_of_kind(points, [kind] * n, sites, period) for kind in kinds
+        )
     out = np.zeros((n, n))
+    step = _batch(a[0].size)
     for i in range(n):
-        for j in range(i + 1 if second is first else 0, n):
-            out[i, j] = linalg.rel_commutator_norm(first[i], second[j], reps)
-    return out + out.T if second is first else out
+        for lo in range(i + 1 if same else 0, n, step):
+            part = slice(lo, lo + step)  # only i < j for equal kinds
+            out[i, part] = _commutator_norms(
+                a[i], a_scale[i], b[part], b_scale[part], sites, period
+            )
+    return out + out.T if same else out

@@ -195,13 +195,19 @@ class TestCommute:
         assert "at least two points" in rep["error"]
 
     def test_scan_byte_guard(self, capsys):
-        # fourteen kept dense float64 12-site matrices plus three transients,
-        # 2.1 GiB: rejected before any is built
-        code, rep = run_cli(capsys, "commute", "--sites", "12", "--mus",
-                            "0.1,0.2,0.3,0.4,0.5,0.6,0.7", "--kinds", "even,odd")
+        # three 14-site points of two kinds: 1182 orbits and 8 momenta, six
+        # kept block sets plus one operand's and one pair's working set,
+        # 2.1 GiB: rejected before anything is built.  Two points fit, and
+        # so does a 13-site pair, which the dense count refused
+        code, rep = run_cli(capsys, "commute", "--sites", "14", "--mus", "0.1,0.2,0.3",
+                            "--kinds", "even,odd")
         assert code == 2
-        assert "17 dense" in rep["error"]
-        assert str(17 * 8 * 4**12) in rep["error"]
+        row, block = 8 * 1182 * 2**14, 16 * 8 * 1182**2
+        assert str(2 * row + 11 * block) in rep["error"]
+        assert "14-site representative rows and momentum blocks" in rep["error"]
+        points = [elliptic.baxter_weights(elliptic.EllipticPoint(0.5, 0.7, mu)) for mu in (0.2, 0.4)]
+        for sites in (13, 14):
+            assert transfer._scan_bytes(points, sites, ("even", "odd")) <= transfer.MAX_SCAN_BYTES
 
 
 class TestPartition:

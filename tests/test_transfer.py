@@ -9,8 +9,11 @@ from vertex_sheaf.elliptic import EllipticPoint, baxter_weights
 from vertex_sheaf.operators import SLOTS, lax_asym, lax_even, lax_odd
 from vertex_sheaf.transfer import (
     MAX_SCAN_BYTES,
+    MAX_SCAN_SITES,
+    MAX_SITES,
     LatticeSpec,
     _cell,
+    _commutator_norms,
     _row_transfer,
     _scan_bytes,
     _shift_orbits,
@@ -52,6 +55,16 @@ def random_sym(rng) -> WeightsSym:
 
 def random_eight(rng, parity) -> WeightsEight:
     return WeightsEight(tuple(rng.uniform(0.2, 1.4, size=8)), parity)
+
+
+def dense_of_kind(point, kind: str, sites: int) -> np.ndarray:
+    """The dense transfer matrix of a scan kind, from the public builders."""
+    if kind in ("even", "odd"):
+        return transfer_matrix((lax_even if kind == "even" else lax_odd)(point), sites).matrix
+    if isinstance(point, WeightsSym):
+        point = to_eight(point)
+    t1, t2 = (t.matrix for t in staggered_transfer_pair(point, sites // 2))
+    return {"stag1": t1, "stag2": t2, "stagprod": t1 @ t2}[kind]
 
 
 def row_transfer_by_definition(mats: list[np.ndarray]) -> np.ndarray:
@@ -725,22 +738,40 @@ class TestCommutationScan:
         assert _scan_bytes(points, 10, kinds) >= peak
 
     def test_single_row_kinds_count_no_product(self):
-        # stag1 and stag2 are one row each: no T1 held while T2 builds, so a
-        # one-point 12-site scan fits the limit (counted, not run); real
-        # weights build float64 rows, 8 bytes an entry
+        # stag1 and stag2 are one row each: no T1 blocks held while T2
+        # builds.  At 12 sites the shift by two has 700 orbits and 4 momenta:
+        # rows R = 700 x 4096 float64, blocks B = 4 x 700 x 700 complex128;
+        # two kept block sets, one operand's 2 R + 2 B and one pair's 3 B
         point = [elliptic_weights(0.1)]
-        assert _scan_bytes(point, 12, ("stag1", "stag2")) == 5 * 8 * 4**12
+        row, block = 8 * 700 * 4096, 16 * 4 * 700**2
+        assert _scan_bytes(point, 12, ("stag1", "stag2")) == 2 * row + 7 * block
         assert _scan_bytes(point, 12, ("stag1", "stag2")) <= MAX_SCAN_BYTES
-        assert _scan_bytes(point, 12, ("stagprod", "stag1")) == 6 * 8 * 4**12
+        assert _scan_bytes(point, 12, ("stagprod", "stag1")) == 2 * row + 8 * block
 
     def test_two_point_twelve_site_scan_fits(self):
-        # two kept matrices a point and the build's three, float64: the
-        # commutator products are formed only at the orbit-representative rows
-        points = [elliptic_weights(mu) for mu in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)]
-        assert _scan_bytes(points[:2], 12, ("even", "odd")) <= MAX_SCAN_BYTES
-        assert _scan_bytes(points[:4], 12, ("even", "odd")) <= MAX_SCAN_BYTES
-        assert _scan_bytes(points[:6], 12, ("even", "odd")) == 15 * 8 * 4**12 <= MAX_SCAN_BYTES
-        assert _scan_bytes(points, 12, ("even", "odd")) == 17 * 8 * 4**12 > MAX_SCAN_BYTES
+        # 352 orbits and 7 momenta of the shift by one at 12 sites: two
+        # block sets a point, float64 rows for one operand at a time, and
+        # no dense matrix, so seventy-four points fit under the limit and
+        # seventy-five do not (counted, not run)
+        points = [elliptic_weights(0.01 * (i + 1)) for i in range(75)]
+        row, block = 8 * 352 * 4096, 16 * 7 * 352**2
+        assert _scan_bytes(points[:2], 12, ("even", "odd")) == 2 * row + 9 * block
+        assert _scan_bytes(points[:74], 12, ("even", "odd")) == 2 * row + 153 * block
+        assert _scan_bytes(points[:74], 12, ("even", "odd")) <= MAX_SCAN_BYTES
+        assert _scan_bytes(points, 12, ("even", "odd")) > MAX_SCAN_BYTES
+
+    def test_two_point_twelve_site_peak_is_below_one_dense_matrix(self):
+        # no 2^12 x 2^12 array is formed: the whole scan peaks below one
+        # dense float64 12-site matrix
+        points = [elliptic_weights(mu) for mu in (0.2, 0.4)]
+        tracemalloc.start()
+        try:
+            norms = commutation_scan(points, 12, ("even", "odd"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 4**12
+        assert norms.max() < 1e-13
 
     def test_complex_weights_rejected(self):
         # weights are real: a complex point is refused where it is made,
@@ -756,11 +787,12 @@ class TestCommutationScan:
     def test_staggered_kinds_build_only_their_own_rows(self, kinds, rows, monkeypatch):
         # stag1 and stag2 are one row of the cell each, stagprod both; two
         # symmetric points, at which stag2 is read as stag1: one list of rows
+        # (the two points of a row are built in one stacked call)
         built = []
         row_transfer = transfer._row_transfer
 
         def counting(matrices, rows=None):
-            built.append(len(matrices))
+            built.extend([len(matrices)] * len(matrices[0]))
             return row_transfer(matrices, rows)
 
         monkeypatch.setattr(transfer, "_row_transfer", counting)
@@ -770,26 +802,31 @@ class TestCommutationScan:
 
     @pytest.mark.parametrize("kind", ["even", "odd", "stagprod"])
     def test_equal_kinds_match_the_full_grid(self, kind):
-        # the full n x n loop of the same statistic, as before the scan
-        # mirrored the upper triangle
+        # the full n x n grid of the same block statistic, as before the
+        # scan mirrored the upper triangle: an exact mirror, a zero diagonal
         points = [elliptic_weights(mu) for mu in (0.1, 0.25, 0.4)]
-        mats = [_transfer_of_kind(p, kind, 6) for p in points]
-        reps = _shift_orbits(6, 2 if kind == "stagprod" else 1)[0][:, 0]
-        full = np.array([[linalg.rel_commutator_norm(a, b, reps) for b in mats] for a in mats])
+        period = 2 if kind == "stagprod" else 1
+        blocks, scales = _transfer_of_kind(points, [kind] * 3, 6, period)
+        i, j = np.indices((3, 3)).reshape(2, -1)
+        full = _commutator_norms(blocks[i], scales[i], blocks[j], scales[j], 6, period)
+        full = full.reshape(3, 3)
         assert np.array_equal(commutation_scan(points, 6, (kind, kind)), full)
+        assert np.array_equal(full, full.T) and not full.diagonal().any()
 
     @pytest.mark.parametrize(
         "kinds,sites",
         [(("even", "odd"), n) for n in range(4, 11)]
-        + [(kinds, n) for kinds in (("stag1", "stag1"), ("stagprod", "stagprod"))
+        + [(("even", "even"), n) for n in (4, 7, 10)]
+        + [(kinds, n) for kinds in (("stag1", "stag1"), ("stagprod", "stagprod"),
+                                    ("stag1", "stagprod"))
            for n in (4, 6, 8, 10)],
     )
     def test_representative_rows_match_the_dense_commutator(self, kinds, sites, rng):
-        # two routes to one statistic: the scan reads the commutator's rows at
-        # the orbit representatives, the reference forms all of AB - BA
+        # two routes to one statistic: the scan multiplies momentum blocks,
+        # the reference forms all of AB - BA from the dense matrices
         def dense(points):
-            first = [_transfer_of_kind(p, kinds[0], sites) for p in points]
-            second = [_transfer_of_kind(p, kinds[1], sites) for p in points]
+            first = [dense_of_kind(p, kinds[0], sites) for p in points]
+            second = [dense_of_kind(p, kinds[1], sites) for p in points]
             return np.array([[linalg.rel_commutator_norm(a, b) for b in second]
                              for a in first])
 
@@ -800,16 +837,53 @@ class TestCommutationScan:
         # commute with the shift by two sites only: about half of their pairs
         # have the largest entry in a row that the orbits of the shift by one
         # site would miss, so the small chains take fifteen pairs.  A point
-        # against itself (the diagonal of even, odd) commutes.
+        # against itself commutes, except T1 against T1 T2.
         if kinds[0] == "even":
             off = [baxter_weights(EllipticPoint(K, lam, 0.3)) for lam in (LAM, 0.45)]
         else:
             off = [random_eight(rng, OD) for _ in range(6 if sites <= 6 else 2)]
         scan, ref = commutation_scan(off, sites, kinds), dense(off)
-        across = ~np.eye(len(off), dtype=bool)
+        across = ~np.eye(len(off), dtype=bool) if kinds != ("stag1", "stagprod") else ref > -1
         assert np.all(ref[across] > 1e-3)
         assert np.all(np.abs(scan - ref)[across] <= 1e-12 * ref[across])
-        assert scan[~across].max() < 1e-13 and ref[~across].max() < 1e-13
+        assert scan[~across].max(initial=0.0) < 1e-13
+        assert ref[~across].max(initial=0.0) < 1e-13
+
+    def test_thirteen_site_scan(self):
+        # beyond MAX_SITES: an on-manifold even, odd pair through the scan's
+        # blocks stays at rounding residue, and two curves do not commute
+        on = [elliptic_weights(mu) for mu in (0.2, 0.4)]
+        blocks, scales = _transfer_of_kind(on, ["even", "odd"], 13, 1)
+        norm = _commutator_norms(blocks[:1], scales[:1], blocks[1:], scales[1:], 13, 1)
+        assert norm[0] < 1e-13
+        off = [baxter_weights(EllipticPoint(K, lam, 0.3)) for lam in (LAM, 0.45)]
+        assert commutation_scan(off, 13, ("even", "even"))[0, 1] > 1e-3
+
+    def test_scan_chain_bound(self):
+        # scans reach 14 sites; dense transfer matrices stay at 12
+        assert (MAX_SITES, MAX_SCAN_SITES) == (12, 14)
+        points = [elliptic_weights(mu) for mu in (0.1, 0.3)]
+        with pytest.raises(ValueError, match="chain length 15 outside 1..14"):
+            commutation_scan(points, 15, ("even", "even"))
+        with pytest.raises(ValueError, match="chain length 13 outside 1..12"):
+            transfer_matrix(lax_even(points[0]), 13)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_rows_are_refused(self):
+        # 1e200^4 overflows: the row is refused before it becomes a norm
+        points = [WeightsSym(1e200, 1, 1, 1), WeightsSym(1e200, 2, 1, 1)]
+        with pytest.raises(ValueError, match="non-finite"):
+            commutation_scan(points, 4, ("even", "odd"))
+        # finite rows whose products overflow are refused too
+        points = [WeightsSym(1e60, 1, 1, 1), WeightsSym(1e60, 2, 1, 1)]
+        with pytest.raises(ValueError, match="non-finite"):
+            commutation_scan(points, 4, ("even", "odd"))
+
+    def test_all_zero_operand_gives_zero(self):
+        points = [WeightsSym(0, 0, 0, 0), elliptic_weights(0.2)]
+        norms = commutation_scan(points, 4, ("even", "odd"))
+        assert norms[0].tolist() == [0.0, 0.0] and norms[:, 0].tolist() == [0.0, 0.0]
 
     def test_kind_validation(self, rng):
         with pytest.raises(ValueError, match="unknown transfer kind"):
