@@ -24,11 +24,14 @@ matrix.  Agreement between the two validates both; disagreement would
 expose a convention error immediately.
 
 Commutation scans share the trace's momentum blocks
-(``_momentum_blocks``): each operand is built only at the orbit
-representatives of the cyclic shift and becomes its blocks A_k, the
-commutator's blocks are A_k B_k - B_k A_k, and its largest entry is read
-from the representative rows that an inverse DFT over k gives back
-(``commutation_scan``).  Neither path forms a 2^sites x 2^sites matrix.
+(``_momentum_blocks``), split further by sigma^z parity: each operand is
+built only at the orbit representatives of the cyclic shift, each row is
+read only at the sector it maps to, and the operand becomes its blocks
+A_(s,k), sector s of momentum k.  The commutator's blocks are
+A_s B_(s+f_A) - B_s A_(s+f_B), f the sector swap of an odd row at an odd
+length, and its largest entry is read from the representative rows that
+an inverse DFT over k gives back (``commutation_scan``).  Neither path
+forms a 2^sites x 2^sites matrix.
 
 Edge layout of the enumeration backend, fixed for reproducibility:
 vertices row-major, each vertex (r, c) owning its left horizontal edge
@@ -260,17 +263,62 @@ def _shift_orbits(sites: int, period: int) -> tuple[np.ndarray, np.ndarray]:
     return images, weight
 
 
-def _momentum_blocks(factors, sites: int, period: int):
-    """Momentum blocks B_k, k = 0..L//2 (..., k, a, b), of real operators F
-    that commute with P^period, from their rows at the orbit representatives.
+@functools.cache
+def _sectors(sites: int, period: int, split: bool = True) -> tuple:
+    """The orbits of ``_shift_orbits`` in sectors of M orbits each, split
+    by sigma^z parity (two sectors) or not (one): (reps, images, weight,
+    unweight), read-only and cached like the orbits.
 
-    Yields the blocks of each array of rows (..., a, 2^sites) drawn from
-    ``factors``: F's rows at the representatives, in the order of
-    ``_shift_orbits`` (``_row_transfer`` restricted to them).  No other
-    row is read, so no dense F is ever formed, and the generator drops
-    its hold on each array of rows as soon as it is gathered.  A stack
-    of operators (leading axes) gives the stack of their blocks, each as
-    if alone.
+    The shift keeps the number of up arrows, so an orbit has the parity
+    of its states (``linalg._parity_sectors``).  Sector 0 holds the even
+    orbits in order.  At an odd site count sector 1 holds their spin
+    flips (images ~images_0), the odd orbits one to one with the same
+    sizes and weights; at an even count it holds the odd orbits in order,
+    and the smaller sector is padded to M with phantom orbits of weight 0
+    at every k, zero rows and columns of every block.  ``reps`` lists the
+    first images, sector by sector; ``images`` is sectors x M x L;
+    ``weight`` the momentum weights of the real FFT's momenta, sectors x
+    M x (L // 2 + 1); ``unweight`` sqrt(L / d_a), their inverse where
+    nonzero, 0 for a phantom.
+    """
+    images, weight = _shift_orbits(sites, period)
+    weight = weight[: images.shape[1] // 2 + 1].T
+    odd = np.isin(images[:, 0], linalg._parity_sectors(2**sites)[1])
+    even = np.flatnonzero(~odd)
+    if not split:
+        parts = [(images, weight)]
+    elif sites % 2:
+        parts = [(images[even], weight[even]), (images[even] ^ (2**sites - 1), weight[even])]
+    else:
+        parts = [(images[even], weight[even]), (images[odd], weight[odd])]
+    size = max(len(im) for im, _ in parts)
+    images = np.stack([np.pad(im, ((0, size - len(im)), (0, 0)), "edge") for im, _ in parts])
+    weight = np.stack([np.pad(w, ((0, size - len(w)), (0, 0))) for _, w in parts])
+    first = weight[..., 0]
+    unweight = np.divide(1.0, first, out=np.zeros_like(first), where=first != 0)
+    sectors = images[..., 0].reshape(-1), images, weight, unweight
+    for a in sectors:
+        a.flags.writeable = False
+    return sectors
+
+
+def _momentum_blocks(factors, flips, sites: int, period: int, split: bool = True):
+    """Sigma^z-sector momentum blocks B_(s,k), k = 0..L//2 (n x 2 x k x M x M),
+    of real operators F that commute with P^period, from their rows at the
+    orbit representatives; one sector of every orbit (n x 1 x k x m x m)
+    when ``split`` is false (``_sectors``).
+
+    Yields the blocks of each array of rows drawn from ``factors``: the
+    rows (n x 2M x 2^sites) of a stack of n operators at the
+    representatives ``_sectors`` lists, in its order (``_row_transfer``
+    restricted to them), operator i having the f ``flips[i]``
+    (``_flip``).  Block (s, k) of an operator maps the orbits of sector s
+    to those of sector s + f (mod 2), so a row of sector s is read only at
+    the images of that sector's orbits, the rest of it being exact zeros;
+    a run of operators with one f is gathered together.  No other row is
+    read, so no dense F is ever formed, and the generator drops its hold
+    on each array of rows as soon as it is gathered.  The blocks of each
+    operator are those it would have alone.
 
     P is the cyclic shift of the chain, P^L = 1 with L = sites / period.
     With r_a the representative and d_a the size of orbit a, the states
@@ -284,33 +332,44 @@ def _momentum_blocks(factors, sites: int, period: int):
     images.  The sum over t repeats with period d_a and with period d_b,
     so where either orbit does not carry k the entry is an exact
     cancellation that the FFT only reaches to rounding: the zero weight
-    restores the exact 0, and the missing states become zero rows and
-    columns that no product, power or trace sees.  A real F has
-    B_(L-k) = conj(B_k), the FFT of a real sequence at -k, and the weights
-    at L - k equal those at k, so the L // 2 + 1 blocks of a real FFT
-    determine F.
+    restores the exact 0, and the missing states (and the phantom
+    orbits) become zero rows and columns that no product, power or trace
+    sees.  A real F has B_(L-k) = conj(B_k), the FFT of a real sequence
+    at -k, and the weights at L - k equal those at k, so the L // 2 + 1
+    blocks of a real FFT determine F.  The two sectors of a target have
+    the same weights (``_sectors``), so w_a w_b is one product for every
+    f, applied to the spectrum in its own (s, n, a, b, k) layout.
     """
-    images, weight = _shift_orbits(sites, period)
-    weight = weight[: images.shape[1] // 2 + 1]
+    _, images, weight, _ = _sectors(sites, period, split)
+    weight = (weight[:, :, None] * weight[:, None, :])[:, None]
+    cuts = [0, *(i for i in range(1, len(flips)) if flips[i] != flips[i - 1]), len(flips)]
+    # (sector, the operands a:b of a run with one f, its target images)
+    runs = [(s, a, b, images[s ^ flips[a]])
+            for s in range(len(images)) for a, b in zip(cuts, cuts[1:])]
     for rows in factors:
+        rows = rows.reshape(len(flips), len(images), -1, rows.shape[-1])
         # take, unlike indexing, lays the gather out in C order: a fast copy
-        gathered = np.take(rows, images, axis=-1)
+        if len(runs) == 1:  # one sector, one f: the whole gather at once
+            gathered = rows.take(runs[0][3], axis=-1).transpose(1, 0, 2, 3, 4)
+        else:  # with in-range indices "clip" writes each piece in place
+            gathered = np.empty((len(images), len(flips), images.shape[1], *images.shape[1:]))
+            for s, a, b, target in runs:
+                rows[a:b, s].take(target, axis=-1, out=gathered[s, a:b], mode="clip")
         del rows
-        spectrum = np.fft.rfft(gathered, axis=-1)  # (..., a, b, k)
+        spectrum = np.fft.rfft(gathered, axis=-1)  # (s, n, a, b, k)
         del gathered
-        stack = tuple(range(spectrum.ndim - 3))
-        blocks = spectrum.transpose(*stack, -1, -3, -2)
-        blocks *= weight[:, :, None] * weight[:, None, :]
-        yield blocks
+        spectrum *= weight
+        yield spectrum.transpose(1, 0, 4, 2, 3)
 
 
 def _shift_trace(factors, sites: int, period: int, power: int) -> float:
     """Tr((F1 F2 ...)^power) for real factors that commute with P^period.
 
     Each factor is given by its rows at the orbit representatives and
-    becomes its momentum blocks (``_momentum_blocks``).  ``factors`` may
-    be a lazy iterable: each factor is released once it is gathered,
-    before its transform and before the next one is drawn.
+    becomes its momentum blocks over every orbit, not split by sigma^z
+    parity (``_momentum_blocks``, a stack of one in one sector).
+    ``factors`` may be a lazy iterable: each factor is released once it
+    is gathered, before its transform and before the next one is drawn.
 
     The trace is the sum over k of the block traces tr_k.  For real
     factors B_(L-k) = conj(B_k), so tr_(L-k) = conj(tr_k) for every
@@ -321,10 +380,10 @@ def _shift_trace(factors, sites: int, period: int, power: int) -> float:
     result is exactly real.
     """
     step = None
-    for blocks in _momentum_blocks(factors, sites, period):
+    for blocks in _momentum_blocks(factors, (0,), sites, period, False):
         step = blocks if step is None else step @ blocks
-    traces = np.linalg.matrix_power(step, power).diagonal(axis1=1, axis2=2).sum(axis=1).real
-    traces[1 : (sites // period + 1) // 2] *= 2
+    traces = np.linalg.matrix_power(step, power).diagonal(axis1=-2, axis2=-1).sum(axis=-1).real
+    traces[..., 1 : (sites // period + 1) // 2] *= 2
     return float(traces.sum())
 
 
@@ -354,7 +413,7 @@ def partition_trace(
         cell = tuple(m[_SWAP][:, _SWAP] for m in cell)
     _check_sites(cols)
     period = len(cell)
-    reps = _shift_orbits(cols, period)[0][:, 0]
+    reps = _sectors(cols, period, False)[0]
     factors = (_cell_row(cell, cols, r, reps) for r in range(period))
     return _shift_trace(factors, cols, period, rows // period)
 
@@ -462,16 +521,26 @@ def _batch(entries: int) -> int:
     return max(1, _SCAN_BATCH // entries)
 
 
+def _flip(odd: bool, sites: int) -> int:
+    """f, the number of odd-family vertices of a row mod 2: each vertex is
+    nonzero for one parity of its four legs, so the row maps sigma^z
+    parity s to s + f.  Only odd rows at an odd site count swap the
+    sectors (staggered rows are even chains)."""
+    return int(odd and sites % 2)
+
+
 def _transfer_of_kind(points: list, kinds: list, sites: int, period: int):
     """The transfer operators of kinds[i] at points[i] (all symmetric kinds,
-    or one staggered kind) as their momentum blocks for the shift by
-    ``period`` sites (points x k x a x b) and their largest entries.
+    or one staggered kind) as their sigma^z-sector momentum blocks for the
+    shift by ``period`` sites (points x 2 x k x M x M, ``_momentum_blocks``)
+    and their largest entries.
 
     Only the rows at the orbit representatives are built, a batch of
-    operands in one stacked call: a ``stagprod`` operator is the block
-    product (T1)_k (T2)_k, and its largest entry is read from the
-    representative rows that its blocks give back.  A non-finite row is
-    refused before it becomes a block.
+    operands in one stacked call, and each is read only at its target
+    sector.  A ``stagprod`` operator is the block product (T1)_s (T2)_s
+    (staggered rows keep the sectors), and its largest entry is read from
+    the representative rows that its blocks give back.  A non-finite row
+    is refused before it becomes a block.
     """
     if all(kind in _SYMMETRIC_KINDS for kind in kinds):
         if not all(isinstance(p, WeightsSym) for p in points):
@@ -483,23 +552,24 @@ def _transfer_of_kind(points: list, kinds: list, sites: int, period: int):
         cells, rows = [_cell(p, staggered=True) for p in points], _STAGGERED_ROWS[kinds[0]]
     else:
         raise ValueError(f"unknown transfer kind {kinds[0]!r}")
-    images = _shift_orbits(sites, period)[0]
-    orbits, length = images.shape
-    blocks = np.empty((len(cells), length // 2 + 1, orbits, orbits), dtype=complex)
+    flips = [_flip(kind == "odd", sites) for kind in kinds]
+    reps, images, weight, _ = _sectors(sites, period)
+    size = images.shape[1]
+    blocks = np.empty((len(cells), 2, weight.shape[2], size, size), dtype=complex)
     scales = np.empty(len(cells))
-    step = _batch(orbits * 2**sites)
+    step = _batch(len(reps) * 2**sites)
     for lo in range(0, len(cells), step):
         part = slice(lo, lo + step)
         # the batch's cell: a stack of vertex matrices on each sublattice
         cell = tuple(np.array(stack) for stack in zip(*cells[part]))
         product = None
         for r in rows:
-            row = _cell_row(cell, sites, r, images[:, 0])
+            row = _cell_row(cell, sites, r, reps)
             # nan and inf propagate to the maximum
             scales[part] = np.abs(row).reshape(len(row), -1).max(axis=1)
             if not np.isfinite(scales[part]).all():
                 raise ValueError("transfer rows contain non-finite entries")
-            (factor,) = _momentum_blocks([row], sites, period)
+            (factor,) = _momentum_blocks([row], flips[part], sites, period)
             del row  # released before the next row builds
             product = factor if product is None else product @ factor
         blocks[part] = product
@@ -509,63 +579,70 @@ def _transfer_of_kind(points: list, kinds: list, sites: int, period: int):
 
 
 @functools.cache
-def _inverse_dft(sites: int, period: int) -> tuple[np.ndarray, np.ndarray]:
-    """The inverse real DFT over the momenta k = 0..L//2 as a table, and
-    sqrt(L / d_a) for each orbit, the inverse of its weight wherever that
-    is nonzero (L = sites / period, d_a the orbit size).
+def _inverse_dft(sites: int, period: int) -> np.ndarray:
+    """The inverse real DFT over the momenta k = 0..L//2 as a table
+    (L = sites / period).
 
     Row t of the L x (L // 2 + 1) table is (c_k / L) exp(2 pi i k t / L),
     c_k = 1 at k = 0 and k = L/2 and 2 between, the angle reduced mod L:
     the real part of its product with a half spectrum is the inverse real
     DFT.  Read-only, cached like the orbits.
     """
-    images, weight = _shift_orbits(sites, period)
-    length = images.shape[1]
+    length = sites // period
     k, t = np.arange(length // 2 + 1), np.arange(length)[:, None]
     count = np.where((k == 0) | (2 * k == length), 1.0, 2.0)
     table = count / length * np.exp(2j * np.pi * (k * t % length) / length)
-    scale = 1.0 / weight[0]
-    table.flags.writeable = scale.flags.writeable = False
-    return table, scale
+    table.flags.writeable = False
+    return table
 
 
 def _largest_entries(blocks: np.ndarray, sites: int, period: int) -> np.ndarray:
     """max |M[r_a, P^t r_b]| over t, a and b for each of a stack of real
-    operators M that commute with P^period, from their momentum blocks
-    (n x k x a x b), which it rescales in place.
+    operators M that commute with P^period, from their sector momentum
+    blocks (... x 2 x k x M x M, any leading stack axes), which it
+    rescales in place.
 
-    Block k holds w_a w_b times the DFT over t of M[r_a, P^t r_b]; that
-    sequence repeats with the period of both orbits, so its DFT vanishes
-    wherever either weight does, and so does the block, exactly: a zero
-    weight zeroes its row and column of every block and of every product
-    of blocks.  Dividing by the nonzero weights and putting 0 elsewhere
+    Block (s, k) holds w_a w_b times the DFT over t of M[r_a, P^t r_b],
+    b an orbit of the sector that M maps sector s to; that sequence
+    repeats with the period of both orbits, so its DFT vanishes wherever
+    either weight does, and so does the block, exactly: a zero weight
+    zeroes its row and column of every block and of every product of
+    blocks.  Dividing by the nonzero weights and putting 0 elsewhere
     therefore divides every k by the same w_a w_b = sqrt(d_a d_b) / L,
-    before the inverse real DFT over k gives the L entries back.  That
-    DFT is one product with a cached table (``_inverse_dft``), for the few
-    momenta of a chain cheaper than an inverse FFT for every (a, b).
+    before the inverse real DFT over k gives the L entries back.  The two
+    sectors a row of sector s may map to have the same weights
+    (``_sectors``), so one divisor serves every M.  That DFT is one
+    product with a cached table (``_inverse_dft``), for the few momenta of
+    a chain cheaper than an inverse FFT for every (a, b).  The entries
+    between sectors that M does not connect are exact zeros and are
+    never formed.
     """
-    inverse, scale = _inverse_dft(sites, period)
-    n, momenta, orbits, _ = blocks.shape
-    blocks *= scale[:, None] * scale
-    entries = (inverse @ blocks.reshape(n, momenta, -1)).real.reshape(n, -1)
+    inverse, unweight = _inverse_dft(sites, period), _sectors(sites, period)[3]
+    stack = blocks.shape[:-4]
+    blocks *= (unweight[:, :, None] * unweight[:, None, :])[:, None]
+    entries = (inverse @ blocks.reshape(*stack, *blocks.shape[-4:-2], -1)).real.reshape(*stack, -1)
     # max |entry| without an |entries| copy
-    return np.maximum(entries.max(axis=1), -entries.min(axis=1))
+    return np.maximum(entries.max(axis=-1), -entries.min(axis=-1))
 
 
-def _commutator_norms(a, a_scale, b, b_scale, sites: int, period: int) -> np.ndarray:
-    """max|A B_j - B_j A| / (max|A| max|B_j|) for an operand A, or a stack
-    of them paired member by member, against a stack of operands B_j, from
-    their blocks and largest entries (``_transfer_of_kind``).
+def _commutator_norms(a, a_scale, b, b_scale, flips, sites: int, period: int) -> np.ndarray:
+    """max|A B - B A| / (max|A| max|B|) for stacks of operands A and B that
+    broadcast against each other (the pairs of a grid, or two stacks paired
+    member by member), from their sector blocks and largest entries
+    (``_transfer_of_kind``); ``flips`` is (f_A, f_B) (``_flip``).
 
-    The commutator's blocks are C_k = A_k B_k - B_k A_k.  The two products
-    are formed alike in either order and for any stack, so swapping the
-    operands negates C exactly, an operand against itself gives exactly
-    0, and a norm is the one its pair gives alone.  A non-finite
-    commutator or scale is refused: it never becomes a norm.  An all-zero
-    operand gives 0.
+    The commutator maps sector s to s + f_A + f_B, with the blocks
+    C_s = A_s B_(s+f_A) - B_s A_(s+f_B) at each momentum: four products of
+    half size in place of two full ones, a quarter of the arithmetic.
+    The two products are formed alike in either order and for any stack,
+    so swapping the operands negates C exactly, an operand against itself
+    gives exactly 0, and a norm is the one its pair gives alone.  A
+    non-finite commutator or scale is refused: it never becomes a norm.
+    An all-zero operand gives 0.
     """
-    c = a @ b
-    c -= b @ a
+    fa, fb = flips
+    c = a @ (b[..., ::-1, :, :, :] if fa else b)
+    c -= b @ (a[..., ::-1, :, :, :] if fb else a)
     top, scale = _largest_entries(c, sites, period), a_scale * b_scale
     if not (np.isfinite(top).all() and np.isfinite(scale).all()):
         raise ValueError("commutator or its scale is non-finite")
@@ -575,26 +652,30 @@ def _commutator_norms(a, a_scale, b, b_scale, sites: int, period: int) -> np.nda
 def _scan_bytes(points: list, sites: int, kinds: tuple[str, str]) -> int:
     """Bytes a commutation scan may hold, counted as if at once.
 
-    With m orbits of the shift and L // 2 + 1 momenta, an operand's
-    representative rows R are m x 2^sites float64 (8 bytes an entry) and
-    its blocks B are (L // 2 + 1) x m x m complex128 (16 bytes an entry).
-    The count is the kept blocks, one B a point and kind; one batch of
-    operands (two symmetric kinds build as one stack) at 2 R + 2 B each,
-    the rows and their gather, the spectrum and the weighted blocks, and
-    one B more for ``stagprod``, T1's blocks held while T2 builds; and one
-    batch of pairs at 3 B each, C and its entries, complex before their
-    real part is read.
+    With M orbits a sigma^z sector (``_sectors``), L = sites / period and
+    L // 2 + 1 momenta, an operand's representative rows R are
+    2M x 2^sites float64 (8 bytes an entry), their gather G at the images
+    of the target sectors' orbits 2 M^2 L float64, and its sector blocks B
+    2 M^2 (L // 2 + 1) complex128 (16 bytes an entry).  The count is the
+    kept blocks, one B a point and kind; one batch of operands (two
+    symmetric kinds build as one stack) at R + G + 2 B each, the rows,
+    their gather, the spectrum and the weighted blocks, and one B more
+    for ``stagprod``, T1's blocks held while T2 builds; and one batch of
+    pairs (one tile of the grid) at 3 B each, C and its entries, complex
+    before their real part is read.
     """
     period = 2 if any(kind in _STAGGERED_ROWS for kind in kinds) else 1
-    orbits, length = _shift_orbits(sites, period)[0].shape
-    row, block = 8 * orbits * 2**sites, 16 * (length // 2 + 1) * orbits**2
+    reps, images = _sectors(sites, period)[:2]
+    size, length = images.shape[1:]
+    row = 8 * len(reps) * 2**sites
+    gather, block = 8 * 2 * size**2 * length, 16 * 2 * size**2 * (length // 2 + 1)
     n, same = len(points), kinds[1] == kinds[0]
     merged = not same and all(kind in _SYMMETRIC_KINDS for kind in kinds)
     product = any(len(_STAGGERED_ROWS.get(kind, ())) == 2 for kind in kinds)
     operands = min(n * (1 + merged), _batch(row // 8))
-    pairs = min(n - 1 if same else n, _batch(block // 16))
+    pairs = min(n - 1 if same else n * n, _batch(block // 16))
     kept = n * (1 if same else 2)
-    return kept * block + operands * (2 * row + (2 + product) * block) + pairs * 3 * block
+    return kept * block + operands * (row + gather + (2 + product) * block) + pairs * 3 * block
 
 
 def commutation_scan(
@@ -618,24 +699,29 @@ def commutation_scan(
     kinds are symmetric and p = 2 when either is staggered (the cell
     repeats every two sites).  Each operand is built only at the rows of
     the orbit representatives r_a of P^p and becomes its momentum blocks
-    A_k, k = 0..L//2 with L = sites / p (``_momentum_blocks``, shared with
-    the trace); a ``stagprod`` operand is the block product (T1)_k (T2)_k.
-    The commutator C = AB - BA commutes with P^p too and has the blocks
-    C_k = A_k B_k - B_k A_k.  Its representative rows C[r_a, P^t r_b]
-    come back from them: divide by the orbit weights where they are
-    nonzero, put 0 elsewhere, and take the inverse real DFT over k
-    (``_largest_entries``).  Since C[P^t x, P^t y] = C[x, y], every entry
-    of C appears in a representative row, so the largest entry of those
-    rows is the largest of C, the statistic of
-    ``linalg.rel_commutator_norm``.  The same holds for each operand: a
-    single row's scale is read from its representative rows as built,
-    and a ``stagprod`` scale from the rows its blocks give back.  With
-    about 2^sites / L orbits, a pair costs 2 (L // 2 + 1) complex
-    products of that size, about 2 / L of the real arithmetic of the two
-    products (2^sites / L) x 2^sites x 2^sites of dense representative
-    rows.  Operands are built, and pairs multiplied, in stacked batches
-    while they are small (``_SCAN_BATCH``), so that a short chain's scan
-    makes few numpy calls.
+    A_(s,k), k = 0..L//2 with L = sites / p (``_momentum_blocks``, shared
+    with the trace), split by sigma^z parity: a row maps sector s (even
+    or odd number of up arrows) to sector s + f, f = 1 only for an odd
+    row at an odd site count (``_flip``), so each row is read only at
+    that sector's orbits.  A ``stagprod`` operand is the block product
+    (T1)_s (T2)_s.  The commutator C = AB - BA commutes with P^p too and
+    has the blocks C_s = A_s B_(s+f_A) - B_s A_(s+f_B) at each k.  Its
+    representative rows C[r_a, P^t r_b] come back from them: divide by
+    the orbit weights where they are nonzero, put 0 elsewhere, and take
+    the inverse real DFT over k (``_largest_entries``).  Since
+    C[P^t x, P^t y] = C[x, y], every entry of C appears in a
+    representative row, so the largest entry of those rows is the largest
+    of C, the statistic of ``linalg.rel_commutator_norm``.  The same
+    holds for each operand: a single row's scale is read from its
+    representative rows as built, and a ``stagprod`` scale from the rows
+    its blocks give back.  With about 2^sites / L orbits, M of them a
+    sector, a pair costs 4 (L // 2 + 1) complex products of M x M blocks,
+    a quarter of the arithmetic of unsplit momentum blocks and about
+    1 / (2 L) of the real arithmetic of the two products
+    (2^sites / L) x 2^sites x 2^sites of dense representative rows.
+    Operands are built, and pairs multiplied, in stacked batches while
+    they are small (``_SCAN_BATCH``; for unequal kinds whole rows of the
+    grid at once), so that a short chain's scan makes few numpy calls.
 
     Chains up to ``MAX_SCAN_SITES`` sites are accepted, and a scan whose
     rows and blocks would exceed ``MAX_SCAN_BYTES`` (``_scan_bytes``) is
@@ -656,6 +742,7 @@ def commutation_scan(
         )
     period = 2 if any(kind in _STAGGERED_ROWS for kind in kinds) else 1
     n, same = len(points), kinds[1] == kinds[0]
+    flips = tuple(_flip(kind == "odd", sites) for kind in kinds)
     if same:
         a, a_scale = b, b_scale = _transfer_of_kind(points, [kinds[0]] * n, sites, period)
     elif all(kind in _SYMMETRIC_KINDS for kind in kinds):  # one build for both
@@ -667,10 +754,14 @@ def commutation_scan(
         )
     out = np.zeros((n, n))
     step = _batch(a[0].size)
-    for i in range(n):
-        for lo in range(i + 1 if same else 0, n, step):
-            part = slice(lo, lo + step)  # only i < j for equal kinds
-            out[i, part] = _commutator_norms(
-                a[i], a_scale[i], b[part], b_scale[part], sites, period
+    # tiles of the grid, one batched step each: for equal kinds one row's
+    # j > i, otherwise whole rows while they fit
+    tall = 1 if same else max(1, step // n)
+    for lo in range(0, n - same, tall):
+        i = slice(lo, lo + tall)
+        for lo_j in range(lo + 1 if same else 0, n, step):
+            j = slice(lo_j, lo_j + step)
+            out[i, j] = _commutator_norms(
+                a[i, None], a_scale[i, None], b[j], b_scale[j], flips, sites, period
             )
     return out + out.T if same else out

@@ -195,15 +195,17 @@ class TestCommute:
         assert "at least two points" in rep["error"]
 
     def test_scan_byte_guard(self, capsys):
-        # three 14-site points of two kinds: 1182 orbits and 8 momenta, six
-        # kept block sets plus one operand's and one pair's working set,
-        # 2.1 GiB: rejected before anything is built.  Two points fit, and
-        # so does a 13-site pair, which the dense count refused
-        code, rep = run_cli(capsys, "commute", "--sites", "14", "--mus", "0.1,0.2,0.3",
+        # nine 14-site points of two kinds: sigma^z sectors of 596 orbits
+        # (the odd one's 586 padded), L = 14 and 8 momenta, eighteen kept
+        # block sets plus one operand's and one pair's working set, 2.2 GiB:
+        # rejected before anything is built.  Two points fit, and so does a
+        # 13-site pair, which the dense count refused
+        mus = ",".join(f"0.{i}" for i in range(1, 10))
+        code, rep = run_cli(capsys, "commute", "--sites", "14", "--mus", mus,
                             "--kinds", "even,odd")
         assert code == 2
-        row, block = 8 * 1182 * 2**14, 16 * 8 * 1182**2
-        assert str(2 * row + 11 * block) in rep["error"]
+        row, gather, block = 8 * 1192 * 2**14, 8 * 2 * 596**2 * 14, 16 * 2 * 8 * 596**2
+        assert str(row + gather + 23 * block) in rep["error"]
         assert "14-site representative rows and momentum blocks" in rep["error"]
         points = [elliptic.baxter_weights(elliptic.EllipticPoint(0.5, 0.7, mu)) for mu in (0.2, 0.4)]
         for sites in (13, 14):

@@ -13,9 +13,12 @@ from vertex_sheaf.transfer import (
     MAX_SITES,
     LatticeSpec,
     _cell,
+    _cell_row,
     _commutator_norms,
+    _flip,
     _row_transfer,
     _scan_bytes,
+    _sectors,
     _shift_orbits,
     _transfer_of_kind,
     commutation_scan,
@@ -260,6 +263,54 @@ class TestRepresentativeRows:
         pick = rng.permutation(2**sites)[: max(2, 2**sites // 3)]
         pick = np.append(pick, pick[0])
         assert np.array_equal(_row_transfer(mats, pick), _row_transfer(mats)[pick])
+
+    @pytest.mark.parametrize("sites", range(1, 10))
+    @pytest.mark.parametrize("family", [EV, OD])
+    def test_rows_vanish_outside_the_target_sector(self, sites, family, rng):
+        # the sigma^z split of the scans: a representative row at r is
+        # exactly 0.0 outside sector parity(r) + f, f the number of its
+        # odd-family vertices mod 2, and nonzero inside it, for uniform
+        # cells of either family and both rows of a staggered cell
+        parity = np.zeros(2**sites, dtype=int)
+        parity[linalg._parity_sectors(2**sites)[1]] = 1
+        w8 = random_eight(rng, family)
+        cells = [(_cell(w8, staggered=False), 1, (0,))]
+        if sites % 2 == 0:
+            cells.append((_cell(w8, staggered=True), 2, (0, 1)))
+        for cell, period, rows in cells:
+            reps = _sectors(sites, period)[0]
+            target = parity[reps] ^ _flip(family is OD, sites)
+            outside = parity[None, :] != target[:, None]
+            for r in rows:
+                row = _cell_row(cell, sites, r, reps)
+                assert np.all(row[outside] == 0.0)
+                assert np.all(np.abs(row).max(axis=1, where=~outside, initial=0.0) > 0)
+
+    @pytest.mark.parametrize("sites,period", [(1, 1), (2, 1), (2, 2), (4, 2), (5, 1), (6, 1),
+                                              (7, 1), (8, 2), (9, 1)])
+    def test_sectors_split_the_orbits_by_parity(self, sites, period):
+        # every orbit lands in the sector of its parity once, phantoms
+        # (weight 0 at every k, unweight 0) pad the smaller sector, and at
+        # an odd length the odd sector is the spin flip of the even one,
+        # orbit by orbit, with the same weights
+        images, weight = _shift_orbits(sites, period)
+        reps, sector_images, sector_weight, unweight = _sectors(sites, period)
+        parity = np.zeros(2**sites, dtype=int)
+        parity[linalg._parity_sectors(2**sites)[1]] = 1
+        real = sector_weight[..., 0] != 0
+        assert np.array_equal(parity[sector_images[..., 0]], np.indices(real.shape)[0])
+        assert np.array_equal(reps, sector_images[..., 0].reshape(-1))
+        orbits = {frozenset(row) for row in images.tolist()}
+        found = [frozenset(row) for row in sector_images[real].tolist()]
+        assert len(found) == len(orbits) and set(found) == orbits
+        assert not sector_weight[~real].any() and not unweight[~real].any()
+        assert np.allclose(unweight[real] * sector_weight[..., 0][real], 1.0)
+        if sites % 2:
+            assert np.array_equal(sector_images[1], sector_images[0] ^ (2**sites - 1))
+            assert np.array_equal(sector_weight[1], sector_weight[0]) and real.all()
+        whole = _sectors(sites, period, False)
+        assert np.array_equal(whole[1][0], images) and np.array_equal(whole[0], images[:, 0])
+        assert np.array_equal(whole[2][0], weight[: images.shape[1] // 2 + 1].T)
 
 
 class TestRealArithmetic:
@@ -739,25 +790,28 @@ class TestCommutationScan:
 
     def test_single_row_kinds_count_no_product(self):
         # stag1 and stag2 are one row each: no T1 blocks held while T2
-        # builds.  At 12 sites the shift by two has 700 orbits and 4 momenta:
-        # rows R = 700 x 4096 float64, blocks B = 4 x 700 x 700 complex128;
-        # two kept block sets, one operand's 2 R + 2 B and one pair's 3 B
+        # builds.  At 12 sites the shift by two has 356 even orbits and 344
+        # odd ones, a sector of M = 356 each, L = 6 and 4 momenta: rows
+        # R = 712 x 4096 float64, their gather G = 2 x 356^2 x 6 float64,
+        # sector blocks B = 2 x 4 x 356^2 complex128; two kept block sets,
+        # one operand's R + G + 2 B and one pair's 3 B
         point = [elliptic_weights(0.1)]
-        row, block = 8 * 700 * 4096, 16 * 4 * 700**2
-        assert _scan_bytes(point, 12, ("stag1", "stag2")) == 2 * row + 7 * block
+        row, gather, block = 8 * 712 * 4096, 8 * 2 * 356**2 * 6, 16 * 2 * 4 * 356**2
+        assert _scan_bytes(point, 12, ("stag1", "stag2")) == row + gather + 7 * block
         assert _scan_bytes(point, 12, ("stag1", "stag2")) <= MAX_SCAN_BYTES
-        assert _scan_bytes(point, 12, ("stagprod", "stag1")) == 2 * row + 8 * block
+        assert _scan_bytes(point, 12, ("stagprod", "stag1")) == row + gather + 8 * block
 
     def test_two_point_twelve_site_scan_fits(self):
-        # 352 orbits and 7 momenta of the shift by one at 12 sites: two
-        # block sets a point, float64 rows for one operand at a time, and
-        # no dense matrix, so seventy-four points fit under the limit and
-        # seventy-five do not (counted, not run)
-        points = [elliptic_weights(0.01 * (i + 1)) for i in range(75)]
-        row, block = 8 * 352 * 4096, 16 * 7 * 352**2
-        assert _scan_bytes(points[:2], 12, ("even", "odd")) == 2 * row + 9 * block
-        assert _scan_bytes(points[:74], 12, ("even", "odd")) == 2 * row + 153 * block
-        assert _scan_bytes(points[:74], 12, ("even", "odd")) <= MAX_SCAN_BYTES
+        # the shift by one at 12 sites: 180 even and 172 odd orbits, a
+        # sector of M = 180 each, L = 12 and 7 momenta.  Two block sets a
+        # point, float64 rows for one operand at a time, and no dense
+        # matrix, so 144 points fit under the limit and 145 do not
+        # (counted, not run)
+        points = [elliptic_weights(0.001 * (i + 1)) for i in range(145)]
+        row, gather, block = 8 * 360 * 4096, 8 * 2 * 180**2 * 12, 16 * 2 * 7 * 180**2
+        assert _scan_bytes(points[:2], 12, ("even", "odd")) == row + gather + 9 * block
+        assert _scan_bytes(points[:144], 12, ("even", "odd")) == row + gather + 293 * block
+        assert _scan_bytes(points[:144], 12, ("even", "odd")) <= MAX_SCAN_BYTES
         assert _scan_bytes(points, 12, ("even", "odd")) > MAX_SCAN_BYTES
 
     def test_two_point_twelve_site_peak_is_below_one_dense_matrix(self):
@@ -800,22 +854,29 @@ class TestCommutationScan:
         commutation_scan(points, 4, kinds)
         assert built == [4] * rows
 
-    @pytest.mark.parametrize("kind", ["even", "odd", "stagprod"])
-    def test_equal_kinds_match_the_full_grid(self, kind):
+    @pytest.mark.parametrize("kind,sites", [
+        pytest.param("even", 6, id="even"), pytest.param("odd", 6, id="odd"),
+        pytest.param("stagprod", 6, id="stagprod"),
+        # an odd row at an odd length swaps the sigma^z sectors
+        pytest.param("even", 7, id="even-7"), pytest.param("odd", 7, id="odd-7"),
+    ])
+    def test_equal_kinds_match_the_full_grid(self, kind, sites):
         # the full n x n grid of the same block statistic, as before the
         # scan mirrored the upper triangle: an exact mirror, a zero diagonal
         points = [elliptic_weights(mu) for mu in (0.1, 0.25, 0.4)]
         period = 2 if kind == "stagprod" else 1
-        blocks, scales = _transfer_of_kind(points, [kind] * 3, 6, period)
+        blocks, scales = _transfer_of_kind(points, [kind] * 3, sites, period)
+        flips = (_flip(kind == "odd", sites),) * 2
         i, j = np.indices((3, 3)).reshape(2, -1)
-        full = _commutator_norms(blocks[i], scales[i], blocks[j], scales[j], 6, period)
+        full = _commutator_norms(blocks[i], scales[i], blocks[j], scales[j], flips, sites, period)
         full = full.reshape(3, 3)
-        assert np.array_equal(commutation_scan(points, 6, (kind, kind)), full)
+        assert np.array_equal(commutation_scan(points, sites, (kind, kind)), full)
         assert np.array_equal(full, full.T) and not full.diagonal().any()
 
     @pytest.mark.parametrize(
         "kinds,sites",
         [(("even", "odd"), n) for n in range(4, 11)]
+        + [(("odd", "odd"), n) for n in range(4, 11)]
         + [(("even", "even"), n) for n in (4, 7, 10)]
         + [(kinds, n) for kinds in (("stag1", "stag1"), ("stagprod", "stagprod"),
                                     ("stag1", "stagprod"))
@@ -838,7 +899,7 @@ class TestCommutationScan:
         # have the largest entry in a row that the orbits of the shift by one
         # site would miss, so the small chains take fifteen pairs.  A point
         # against itself commutes, except T1 against T1 T2.
-        if kinds[0] == "even":
+        if kinds[0] in ("even", "odd"):
             off = [baxter_weights(EllipticPoint(K, lam, 0.3)) for lam in (LAM, 0.45)]
         else:
             off = [random_eight(rng, OD) for _ in range(6 if sites <= 6 else 2)]
@@ -854,7 +915,7 @@ class TestCommutationScan:
         # blocks stays at rounding residue, and two curves do not commute
         on = [elliptic_weights(mu) for mu in (0.2, 0.4)]
         blocks, scales = _transfer_of_kind(on, ["even", "odd"], 13, 1)
-        norm = _commutator_norms(blocks[:1], scales[:1], blocks[1:], scales[1:], 13, 1)
+        norm = _commutator_norms(blocks[:1], scales[:1], blocks[1:], scales[1:], (0, 1), 13, 1)
         assert norm[0] < 1e-13
         off = [baxter_weights(EllipticPoint(K, lam, 0.3)) for lam in (LAM, 0.45)]
         assert commutation_scan(off, 13, ("even", "even"))[0, 1] > 1e-3
