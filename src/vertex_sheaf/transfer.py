@@ -27,11 +27,15 @@ Commutation scans share the trace's momentum blocks
 (``_momentum_blocks``), split further by sigma^z parity: each operand is
 built only at the orbit representatives of the cyclic shift, each row is
 read only at the sector it maps to, and the operand becomes its blocks
-A_(s,k), sector s of momentum k.  The commutator's blocks are
-A_s B_(s+f_A) - B_s A_(s+f_B), f the sector swap of an odd row at an odd
-length, and its largest entry is read from the representative rows that
-an inverse DFT over k gives back (``commutation_scan``).  Neither path
-forms a 2^sites x 2^sites matrix.
+A_(s,k), sector s of momentum k.  Symmetric weights are invariant under
+arrow reversal, so the global spin flip commutes with every even and odd
+row; at an odd length it maps the even orbits one to one onto the odd
+ones, both sectors' blocks are equal, and a scan of symmetric kinds
+builds and multiplies sector 0 alone.  Every other scan is an even chain
+and keeps two sectors that no row swaps.  The commutator's blocks are
+C = A B - B A on the sectors present, and its largest entry is read
+from the representative rows that an inverse DFT over k gives back
+(``commutation_scan``).  Neither path forms a 2^sites x 2^sites matrix.
 
 Edge layout of the enumeration backend, fixed for reproducibility:
 vertices row-major, each vertex (r, c) owning its left horizontal edge
@@ -273,10 +277,12 @@ def _sectors(sites: int, period: int, split: bool = True) -> tuple:
     of its states (``linalg._parity_sectors``).  Sector 0 holds the even
     orbits in order.  At an odd site count sector 1 holds their spin
     flips (images ~images_0), the odd orbits one to one with the same
-    sizes and weights; at an even count it holds the odd orbits in order,
-    and the smaller sector is padded to M with phantom orbits of weight 0
-    at every k, zero rows and columns of every block.  ``reps`` lists the
-    first images, sector by sector; ``images`` is sectors x M x L;
+    sizes and weights, so an operator that commutes with the spin flip
+    has equal blocks in both (``_scan_sectors``); at an even count it
+    holds the odd orbits in order, and the smaller sector is padded to M
+    with phantom orbits of weight 0 at every k, zero rows and columns of
+    every block.  ``reps`` lists the first images, sector by sector;
+    ``images`` is sectors x M x L;
     ``weight`` the momentum weights of the real FFT's momenta, sectors x
     M x (L // 2 + 1); ``unweight`` sqrt(L / d_a), their inverse where
     nonzero, 0 for a phantom.
@@ -303,18 +309,21 @@ def _sectors(sites: int, period: int, split: bool = True) -> tuple:
 
 
 def _momentum_blocks(factors, flips, sites: int, period: int, split: bool = True):
-    """Sigma^z-sector momentum blocks B_(s,k), k = 0..L//2 (n x 2 x k x M x M),
+    """Sigma^z-sector momentum blocks B_(s,k), k = 0..L//2 (n x S x k x M x M),
     of real operators F that commute with P^period, from their rows at the
-    orbit representatives; one sector of every orbit (n x 1 x k x m x m)
-    when ``split`` is false (``_sectors``).
+    orbit representatives of the first S sectors; one sector of every
+    orbit (n x 1 x k x m x m) when ``split`` is false (``_sectors``).
 
     Yields the blocks of each array of rows drawn from ``factors``: the
-    rows (n x 2M x 2^sites) of a stack of n operators at the
+    rows (n x SM x 2^sites) of a stack of n operators at the first SM
     representatives ``_sectors`` lists, in its order (``_row_transfer``
     restricted to them), operator i having the f ``flips[i]``
-    (``_flip``).  Block (s, k) of an operator maps the orbits of sector s
-    to those of sector s + f (mod 2), so a row of sector s is read only at
-    the images of that sector's orbits, the rest of it being exact zeros;
+    (``_flip``).  S, the number of sectors, is read from the rows: both,
+    or sector 0 alone for operators that commute with the spin flip at an
+    odd length (``_scan_sectors``).  Block (s, k) of an operator maps the
+    orbits of sector s to those of sector s + f (mod 2), so a row of
+    sector s is read only at the images of that sector's orbits, the rest
+    of it being exact zeros, even when sector s + f is not itself kept;
     a run of operators with one f is gathered together.  No other row is
     read, so no dense F is ever formed, and the generator drops its hold
     on each array of rows as soon as it is gathered.  The blocks of each
@@ -343,22 +352,23 @@ def _momentum_blocks(factors, flips, sites: int, period: int, split: bool = True
     _, images, weight, _ = _sectors(sites, period, split)
     weight = (weight[:, :, None] * weight[:, None, :])[:, None]
     cuts = [0, *(i for i in range(1, len(flips)) if flips[i] != flips[i - 1]), len(flips)]
-    # (sector, the operands a:b of a run with one f, its target images)
-    runs = [(s, a, b, images[s ^ flips[a]])
-            for s in range(len(images)) for a, b in zip(cuts, cuts[1:])]
     for rows in factors:
-        rows = rows.reshape(len(flips), len(images), -1, rows.shape[-1])
+        rows = rows.reshape(len(flips), -1, images.shape[1], rows.shape[-1])
+        sectors = rows.shape[1]
+        # (sector, the operands a:b of a run with one f, its target images)
+        runs = [(s, a, b, images[s ^ flips[a]])
+                for s in range(sectors) for a, b in zip(cuts, cuts[1:])]
         # take, unlike indexing, lays the gather out in C order: a fast copy
         if len(runs) == 1:  # one sector, one f: the whole gather at once
             gathered = rows.take(runs[0][3], axis=-1).transpose(1, 0, 2, 3, 4)
         else:  # with in-range indices "clip" writes each piece in place
-            gathered = np.empty((len(images), len(flips), images.shape[1], *images.shape[1:]))
+            gathered = np.empty((sectors, len(flips), images.shape[1], *images.shape[1:]))
             for s, a, b, target in runs:
                 rows[a:b, s].take(target, axis=-1, out=gathered[s, a:b], mode="clip")
         del rows
         spectrum = np.fft.rfft(gathered, axis=-1)  # (s, n, a, b, k)
         del gathered
-        spectrum *= weight
+        spectrum *= weight[:sectors]
         yield spectrum.transpose(1, 0, 4, 2, 3)
 
 
@@ -529,18 +539,34 @@ def _flip(odd: bool, sites: int) -> int:
     return int(odd and sites % 2)
 
 
+def _scan_sectors(kinds, sites: int) -> int:
+    """The sigma^z sectors a scan of ``kinds`` builds and multiplies.
+
+    Symmetric weights are invariant under arrow reversal, so the global
+    spin flip S commutes with every even and odd row (T_od = S T_ev).  At
+    an odd length S maps sector 0's orbits onto sector 1's in the order
+    ``_sectors`` lists them, so an operand's two sector blocks are equal
+    and sector 0 holds every entry: one sector.  Otherwise two (staggered
+    kinds need an even length).
+    """
+    return 1 if sites % 2 and all(kind in _SYMMETRIC_KINDS for kind in kinds) else 2
+
+
 def _transfer_of_kind(points: list, kinds: list, sites: int, period: int):
     """The transfer operators of kinds[i] at points[i] (all symmetric kinds,
     or one staggered kind) as their sigma^z-sector momentum blocks for the
-    shift by ``period`` sites (points x 2 x k x M x M, ``_momentum_blocks``)
+    shift by ``period`` sites (points x S x k x M x M, ``_momentum_blocks``)
     and their largest entries.
 
-    Only the rows at the orbit representatives are built, a batch of
-    operands in one stacked call, and each is read only at its target
-    sector.  A ``stagprod`` operator is the block product (T1)_s (T2)_s
-    (staggered rows keep the sectors), and its largest entry is read from
-    the representative rows that its blocks give back.  A non-finite row
-    is refused before it becomes a block.
+    Only the rows at the orbit representatives of the S sectors
+    (``_scan_sectors``) are built, a batch of operands in one stacked
+    call, and each is read only at its target sector.  With one sector
+    the scale is the largest entry of sector 0's rows, which is the
+    largest of all: S T S = T, so the rows at the flipped representatives
+    hold the same entries.  A ``stagprod`` operator is the block product
+    (T1)_s (T2)_s (staggered rows keep the sectors), and its largest
+    entry is read from the representative rows that its blocks give back.
+    A non-finite row is refused before it becomes a block.
     """
     if all(kind in _SYMMETRIC_KINDS for kind in kinds):
         if not all(isinstance(p, WeightsSym) for p in points):
@@ -554,8 +580,9 @@ def _transfer_of_kind(points: list, kinds: list, sites: int, period: int):
         raise ValueError(f"unknown transfer kind {kinds[0]!r}")
     flips = [_flip(kind == "odd", sites) for kind in kinds]
     reps, images, weight, _ = _sectors(sites, period)
-    size = images.shape[1]
-    blocks = np.empty((len(cells), 2, weight.shape[2], size, size), dtype=complex)
+    sectors, size = _scan_sectors(kinds, sites), images.shape[1]
+    reps = reps[: sectors * size]
+    blocks = np.empty((len(cells), sectors, weight.shape[2], size, size), dtype=complex)
     scales = np.empty(len(cells))
     step = _batch(len(reps) * 2**sites)
     for lo in range(0, len(cells), step):
@@ -599,8 +626,8 @@ def _inverse_dft(sites: int, period: int) -> np.ndarray:
 def _largest_entries(blocks: np.ndarray, sites: int, period: int) -> np.ndarray:
     """max |M[r_a, P^t r_b]| over t, a and b for each of a stack of real
     operators M that commute with P^period, from their sector momentum
-    blocks (... x 2 x k x M x M, any leading stack axes), which it
-    rescales in place.
+    blocks (... x S x k x M x M, any leading stack axes, S sectors), which
+    it rescales in place.
 
     Block (s, k) holds w_a w_b times the DFT over t of M[r_a, P^t r_b],
     b an orbit of the sector that M maps sector s to; that sequence
@@ -611,38 +638,43 @@ def _largest_entries(blocks: np.ndarray, sites: int, period: int) -> np.ndarray:
     therefore divides every k by the same w_a w_b = sqrt(d_a d_b) / L,
     before the inverse real DFT over k gives the L entries back.  The two
     sectors a row of sector s may map to have the same weights
-    (``_sectors``), so one divisor serves every M.  That DFT is one
-    product with a cached table (``_inverse_dft``), for the few momenta of
-    a chain cheaper than an inverse FFT for every (a, b).  The entries
-    between sectors that M does not connect are exact zeros and are
-    never formed.
+    (``_sectors``), so one divisor serves every M, read for the sectors
+    present.  That DFT is one product with a cached table
+    (``_inverse_dft``), for the few momenta of a chain cheaper than an
+    inverse FFT for every (a, b).  The entries between sectors that M
+    does not connect are exact zeros and are never formed.
     """
-    inverse, unweight = _inverse_dft(sites, period), _sectors(sites, period)[3]
-    stack = blocks.shape[:-4]
+    inverse, stack = _inverse_dft(sites, period), blocks.shape[:-4]
+    unweight = _sectors(sites, period)[3][: blocks.shape[-4]]
     blocks *= (unweight[:, :, None] * unweight[:, None, :])[:, None]
     entries = (inverse @ blocks.reshape(*stack, *blocks.shape[-4:-2], -1)).real.reshape(*stack, -1)
     # max |entry| without an |entries| copy
     return np.maximum(entries.max(axis=-1), -entries.min(axis=-1))
 
 
-def _commutator_norms(a, a_scale, b, b_scale, flips, sites: int, period: int) -> np.ndarray:
+def _commutator_norms(a, a_scale, b, b_scale, sites: int, period: int) -> np.ndarray:
     """max|A B - B A| / (max|A| max|B|) for stacks of operands A and B that
     broadcast against each other (the pairs of a grid, or two stacks paired
     member by member), from their sector blocks and largest entries
-    (``_transfer_of_kind``); ``flips`` is (f_A, f_B) (``_flip``).
+    (``_transfer_of_kind``).
 
-    The commutator maps sector s to s + f_A + f_B, with the blocks
-    C_s = A_s B_(s+f_A) - B_s A_(s+f_B) at each momentum: four products of
-    half size in place of two full ones, a quarter of the arithmetic.
+    The commutator's blocks are C_s = A_s B_(s+f_A) - B_s A_(s+f_B) at
+    each momentum, f the sector swap of each operand (``_flip``), and
+    that is C = A B - B A on the sectors present.  With two sectors no
+    operand swaps them (f = 1 only at an odd length).  With one, the
+    arrow-reversal invariance of a symmetric row makes the blocks of
+    sector 1 those of sector 0 (``_scan_sectors``), so
+    C_0 = A_0 B_0 - B_0 A_0 whatever f_A and f_B are, and C_1 = C_0
+    holds no other entry.  Against unsplit momentum blocks that is a
+    quarter of the arithmetic with two sectors and an eighth with one.
     The two products are formed alike in either order and for any stack,
     so swapping the operands negates C exactly, an operand against itself
     gives exactly 0, and a norm is the one its pair gives alone.  A
     non-finite commutator or scale is refused: it never becomes a norm.
     An all-zero operand gives 0.
     """
-    fa, fb = flips
-    c = a @ (b[..., ::-1, :, :, :] if fa else b)
-    c -= b @ (a[..., ::-1, :, :, :] if fb else a)
+    c = a @ b
+    c -= b @ a
     top, scale = _largest_entries(c, sites, period), a_scale * b_scale
     if not (np.isfinite(top).all() and np.isfinite(scale).all()):
         raise ValueError("commutator or its scale is non-finite")
@@ -652,23 +684,24 @@ def _commutator_norms(a, a_scale, b, b_scale, flips, sites: int, period: int) ->
 def _scan_bytes(points: list, sites: int, kinds: tuple[str, str]) -> int:
     """Bytes a commutation scan may hold, counted as if at once.
 
-    With M orbits a sigma^z sector (``_sectors``), L = sites / period and
-    L // 2 + 1 momenta, an operand's representative rows R are
-    2M x 2^sites float64 (8 bytes an entry), their gather G at the images
-    of the target sectors' orbits 2 M^2 L float64, and its sector blocks B
-    2 M^2 (L // 2 + 1) complex128 (16 bytes an entry).  The count is the
-    kept blocks, one B a point and kind; one batch of operands (two
-    symmetric kinds build as one stack) at R + G + 2 B each, the rows,
-    their gather, the spectrum and the weighted blocks, and one B more
-    for ``stagprod``, T1's blocks held while T2 builds; and one batch of
-    pairs (one tile of the grid) at 3 B each, C and its entries, complex
-    before their real part is read.
+    With M orbits a sigma^z sector (``_sectors``), S sectors built
+    (``_scan_sectors``), L = sites / period and L // 2 + 1 momenta, an
+    operand's representative rows R are SM x 2^sites float64 (8 bytes an
+    entry), their gather G at the images of the target sectors' orbits
+    S M^2 L float64, and its sector blocks B S M^2 (L // 2 + 1) complex128
+    (16 bytes an entry).  The count is the kept blocks, one B a point and
+    kind; one batch of operands (two symmetric kinds build as one stack)
+    at R + G + 2 B each, the rows, their gather, the spectrum and the
+    weighted blocks, and one B more for ``stagprod``, T1's blocks held
+    while T2 builds; and one batch of pairs (one tile of the grid) at 3 B
+    each, C and its entries, complex before their real part is read.
     """
     period = 2 if any(kind in _STAGGERED_ROWS for kind in kinds) else 1
-    reps, images = _sectors(sites, period)[:2]
-    size, length = images.shape[1:]
-    row = 8 * len(reps) * 2**sites
-    gather, block = 8 * 2 * size**2 * length, 16 * 2 * size**2 * (length // 2 + 1)
+    size, length = _sectors(sites, period)[1].shape[1:]
+    sectors = _scan_sectors(kinds, sites)
+    row = 8 * sectors * size * 2**sites
+    gather = 8 * sectors * size**2 * length
+    block = 16 * sectors * size**2 * (length // 2 + 1)
     n, same = len(points), kinds[1] == kinds[0]
     merged = not same and all(kind in _SYMMETRIC_KINDS for kind in kinds)
     product = any(len(_STAGGERED_ROWS.get(kind, ())) == 2 for kind in kinds)
@@ -703,21 +736,28 @@ def commutation_scan(
     with the trace), split by sigma^z parity: a row maps sector s (even
     or odd number of up arrows) to sector s + f, f = 1 only for an odd
     row at an odd site count (``_flip``), so each row is read only at
-    that sector's orbits.  A ``stagprod`` operand is the block product
-    (T1)_s (T2)_s.  The commutator C = AB - BA commutes with P^p too and
-    has the blocks C_s = A_s B_(s+f_A) - B_s A_(s+f_B) at each k.  Its
-    representative rows C[r_a, P^t r_b] come back from them: divide by
-    the orbit weights where they are nonzero, put 0 elsewhere, and take
-    the inverse real DFT over k (``_largest_entries``).  Since
+    that sector's orbits.  Symmetric weights are invariant under arrow
+    reversal, so at an odd site count the global spin flip, which
+    commutes with every even and odd row, maps sector 0 onto sector 1
+    with equal blocks, and a scan of symmetric kinds builds and
+    multiplies sector 0 alone (``_scan_sectors``); every other scan keeps
+    both sectors, and none of its rows swaps them.  A ``stagprod``
+    operand is the block product (T1)_s (T2)_s.  The commutator
+    C = AB - BA commutes with P^p too, and its blocks at each k are the
+    products A B - B A of the sectors present (``_commutator_norms``).
+    Its representative rows C[r_a, P^t r_b] come back from them: divide
+    by the orbit weights where they are nonzero, put 0 elsewhere, and
+    take the inverse real DFT over k (``_largest_entries``).  Since
     C[P^t x, P^t y] = C[x, y], every entry of C appears in a
     representative row, so the largest entry of those rows is the largest
     of C, the statistic of ``linalg.rel_commutator_norm``.  The same
     holds for each operand: a single row's scale is read from its
     representative rows as built, and a ``stagprod`` scale from the rows
     its blocks give back.  With about 2^sites / L orbits, M of them a
-    sector, a pair costs 4 (L // 2 + 1) complex products of M x M blocks,
-    a quarter of the arithmetic of unsplit momentum blocks and about
-    1 / (2 L) of the real arithmetic of the two products
+    sector, a pair costs 2 S (L // 2 + 1) complex products of M x M
+    blocks for S sectors, a quarter of the arithmetic of unsplit momentum
+    blocks with two sectors and an eighth with one, and about 1 / (2 L)
+    (two sectors) of the real arithmetic of the two products
     (2^sites / L) x 2^sites x 2^sites of dense representative rows.
     Operands are built, and pairs multiplied, in stacked batches while
     they are small (``_SCAN_BATCH``; for unequal kinds whole rows of the
@@ -742,7 +782,6 @@ def commutation_scan(
         )
     period = 2 if any(kind in _STAGGERED_ROWS for kind in kinds) else 1
     n, same = len(points), kinds[1] == kinds[0]
-    flips = tuple(_flip(kind == "odd", sites) for kind in kinds)
     if same:
         a, a_scale = b, b_scale = _transfer_of_kind(points, [kinds[0]] * n, sites, period)
     elif all(kind in _SYMMETRIC_KINDS for kind in kinds):  # one build for both
@@ -762,6 +801,6 @@ def commutation_scan(
         for lo_j in range(lo + 1 if same else 0, n, step):
             j = slice(lo_j, lo_j + step)
             out[i, j] = _commutator_norms(
-                a[i, None], a_scale[i, None], b[j], b_scale[j], flips, sites, period
+                a[i, None], a_scale[i, None], b[j], b_scale[j], sites, period
             )
     return out + out.T if same else out

@@ -16,6 +16,7 @@ from vertex_sheaf.transfer import (
     _cell_row,
     _commutator_norms,
     _flip,
+    _momentum_blocks,
     _row_transfer,
     _scan_bytes,
     _sectors,
@@ -311,6 +312,52 @@ class TestRepresentativeRows:
         whole = _sectors(sites, period, False)
         assert np.array_equal(whole[1][0], images) and np.array_equal(whole[0], images[:, 0])
         assert np.array_equal(whole[2][0], weight[: images.shape[1] // 2 + 1].T)
+
+
+class TestSpinFlipSectors:
+    """Weights invariant under arrow reversal give rows that commute with
+    the spin flip, which at an odd length maps sigma^z sector 0 onto
+    sector 1 orbit by orbit: the two sector blocks are equal, and a
+    symmetric scan keeps sector 0 alone."""
+
+    @pytest.mark.parametrize("sites", [1, 3, 5, 7, 9, 11])
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    def test_symmetric_rows_have_equal_sectors(self, sites, kind, rng):
+        # both sectors, as the scans built them before: every representative
+        # row, gathered at its target images through _momentum_blocks
+        point = random_sym(rng)
+        lax = (lax_even if kind == "even" else lax_odd)(point)
+        reps = _sectors(sites, 1)[0]
+        row = _cell_row((lax,), sites, 0, reps)
+        (blocks,) = _momentum_blocks([row], [_flip(kind == "odd", sites)], sites, 1)
+        assert blocks.shape[1] == 2 and np.array_equal(blocks[0, 0], blocks[0, 1])
+        # the scan's operand is sector 0 of those blocks, bit for bit, and
+        # its scale, read from sector 0's rows, is the largest entry of all
+        one, scale = _transfer_of_kind([point], [kind], sites, 1)
+        assert one.shape == (1, 1, *blocks.shape[2:])
+        assert np.array_equal(one[0, 0], blocks[0, 0])
+        assert scale[0] == np.abs(row).max()
+        if sites <= 9:
+            assert scale[0] == np.abs(transfer_matrix(lax, sites).matrix).max()
+
+    @pytest.mark.parametrize("family", [EV, OD])
+    def test_eight_unrelated_weights_have_unequal_sectors(self, family, rng):
+        # the negative control: a row of random eight weights does not
+        # commute with the spin flip, and its sectors differ
+        reps = _sectors(5, 1)[0]
+        row = _cell_row((lax_asym(random_eight(rng, family)),), 5, 0, reps)
+        (blocks,) = _momentum_blocks([row], [_flip(family is OD, 5)], 5, 1)
+        gap = np.abs(blocks[0, 0] - blocks[0, 1]).max()
+        assert gap > 1e-3 * np.abs(blocks).max()
+
+    @pytest.mark.parametrize("kinds,sites,period,sectors", [
+        (["even", "odd"], 4, 1, 2), (["odd"], 6, 1, 2), (["even", "odd"], 7, 1, 1),
+        (["stagprod"], 4, 2, 2), (["stag1"], 6, 2, 2),
+    ])
+    def test_only_odd_symmetric_scans_drop_a_sector(self, kinds, sites, period, sectors):
+        points = [elliptic_weights(0.1 * (i + 1)) for i in range(len(kinds))]
+        blocks, _ = _transfer_of_kind(points, kinds, sites, period)
+        assert blocks.shape[1] == sectors
 
 
 class TestRealArithmetic:
@@ -774,19 +821,23 @@ class TestCommutationScan:
         (("even", "odd"), "elliptic"), (("stagprod", "stagprod"), "elliptic"),
         (("stag1", "stag1"), "elliptic"), (("stag1", "stag2"), "elliptic"),
         (("stag1", "stag2"), "krinsky"),
+        # at an odd length a symmetric scan counts and holds one sector
+        (("even", "odd"), "elliptic-11"), (("odd", "odd"), "elliptic-11"),
     ])
     def test_byte_count_bounds_the_peak(self, kinds, family):
+        family, _, sites = family.partition("-")
+        sites = int(sites or 10)
         if family == "elliptic":
             points = [elliptic_weights(mu) for mu in (0.1, 0.3, 0.5)]
         else:  # distinct eight-weight points: stag2 is its own row
             points = list(sample_krinsky_pair(5))
         tracemalloc.start()
         try:
-            commutation_scan(points, 10, kinds)
+            commutation_scan(points, sites, kinds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert _scan_bytes(points, 10, kinds) >= peak
+        assert _scan_bytes(points, sites, kinds) >= peak
 
     def test_single_row_kinds_count_no_product(self):
         # stag1 and stag2 are one row each: no T1 blocks held while T2
@@ -813,6 +864,24 @@ class TestCommutationScan:
         assert _scan_bytes(points[:144], 12, ("even", "odd")) == row + gather + 293 * block
         assert _scan_bytes(points[:144], 12, ("even", "odd")) <= MAX_SCAN_BYTES
         assert _scan_bytes(points, 12, ("even", "odd")) > MAX_SCAN_BYTES
+
+    def test_thirteen_site_symmetric_scan_counts_one_sector(self):
+        # the shift by one at 13 sites: 316 even orbits, the one sector a
+        # symmetric scan keeps at an odd length (M = 316), L = 13 and 7
+        # momenta: rows R = 316 x 8192 float64, their gather
+        # G = 316^2 x 13 float64, blocks B = 7 x 316^2 complex128, half the
+        # two-sector count, so 92 points of two kinds fit and 93 are
+        # refused before anything is built (44 and 45 with both sectors)
+        points = [elliptic_weights(0.001 * (i + 1)) for i in range(93)]
+        row, gather, block = 8 * 316 * 2**13, 8 * 316**2 * 13, 16 * 7 * 316**2
+        assert _scan_bytes(points[:2], 13, ("even", "odd")) == row + gather + 9 * block
+        assert _scan_bytes(points[:92], 13, ("even", "odd")) == row + gather + 189 * block
+        assert _scan_bytes(points[:92], 13, ("even", "odd")) <= MAX_SCAN_BYTES
+        assert _scan_bytes(points, 13, ("even", "odd")) > MAX_SCAN_BYTES
+        with pytest.raises(ValueError, match="above the 2147483648-byte limit"):
+            commutation_scan(points, 13, ("even", "odd"))
+        # equal kinds: one kept block set a point
+        assert _scan_bytes(points[:2], 13, ("odd", "odd")) == row + gather + 7 * block
 
     def test_two_point_twelve_site_peak_is_below_one_dense_matrix(self):
         # no 2^12 x 2^12 array is formed: the whole scan peaks below one
@@ -866,9 +935,8 @@ class TestCommutationScan:
         points = [elliptic_weights(mu) for mu in (0.1, 0.25, 0.4)]
         period = 2 if kind == "stagprod" else 1
         blocks, scales = _transfer_of_kind(points, [kind] * 3, sites, period)
-        flips = (_flip(kind == "odd", sites),) * 2
         i, j = np.indices((3, 3)).reshape(2, -1)
-        full = _commutator_norms(blocks[i], scales[i], blocks[j], scales[j], flips, sites, period)
+        full = _commutator_norms(blocks[i], scales[i], blocks[j], scales[j], sites, period)
         full = full.reshape(3, 3)
         assert np.array_equal(commutation_scan(points, sites, (kind, kind)), full)
         assert np.array_equal(full, full.T) and not full.diagonal().any()
@@ -880,7 +948,13 @@ class TestCommutationScan:
         + [(("even", "even"), n) for n in (4, 7, 10)]
         + [(kinds, n) for kinds in (("stag1", "stag1"), ("stagprod", "stagprod"),
                                     ("stag1", "stagprod"))
-           for n in (4, 6, 8, 10)],
+           for n in (4, 6, 8, 10)]
+        # the one-sector scans: every symmetric kind pair at 3, 5, 7 and 9
+        # sites, with the cases above
+        + [pytest.param(kinds, n, id=f"{','.join(kinds)}-{n}")
+           for kinds, lengths in ((("even", "even"), (3, 5, 9)), (("odd", "odd"), (3,)),
+                                  (("even", "odd"), (3,)), (("odd", "even"), (3, 5, 7, 9)))
+           for n in lengths],
     )
     def test_representative_rows_match_the_dense_commutator(self, kinds, sites, rng):
         # two routes to one statistic: the scan multiplies momentum blocks,
@@ -899,23 +973,28 @@ class TestCommutationScan:
         # have the largest entry in a row that the orbits of the shift by one
         # site would miss, so the small chains take fifteen pairs.  A point
         # against itself commutes, except T1 against T1 T2.
+        # At an odd length the symmetric kinds also take random symmetric
+        # pairs, on no elliptic curve.
         if kinds[0] in ("even", "odd"):
-            off = [baxter_weights(EllipticPoint(K, lam, 0.3)) for lam in (LAM, 0.45)]
+            offs = [[baxter_weights(EllipticPoint(K, lam, 0.3)) for lam in (LAM, 0.45)]]
+            if sites % 2:
+                offs.append([random_sym(rng) for _ in range(2)])
         else:
-            off = [random_eight(rng, OD) for _ in range(6 if sites <= 6 else 2)]
-        scan, ref = commutation_scan(off, sites, kinds), dense(off)
-        across = ~np.eye(len(off), dtype=bool) if kinds != ("stag1", "stagprod") else ref > -1
-        assert np.all(ref[across] > 1e-3)
-        assert np.all(np.abs(scan - ref)[across] <= 1e-12 * ref[across])
-        assert scan[~across].max(initial=0.0) < 1e-13
-        assert ref[~across].max(initial=0.0) < 1e-13
+            offs = [[random_eight(rng, OD) for _ in range(6 if sites <= 6 else 2)]]
+        for off in offs:
+            scan, ref = commutation_scan(off, sites, kinds), dense(off)
+            across = ~np.eye(len(off), dtype=bool) if kinds != ("stag1", "stagprod") else ref > -1
+            assert np.all(ref[across] > 1e-3)
+            assert np.all(np.abs(scan - ref)[across] <= 1e-12 * ref[across])
+            assert scan[~across].max(initial=0.0) < 1e-13
+            assert ref[~across].max(initial=0.0) < 1e-13
 
     def test_thirteen_site_scan(self):
         # beyond MAX_SITES: an on-manifold even, odd pair through the scan's
         # blocks stays at rounding residue, and two curves do not commute
         on = [elliptic_weights(mu) for mu in (0.2, 0.4)]
         blocks, scales = _transfer_of_kind(on, ["even", "odd"], 13, 1)
-        norm = _commutator_norms(blocks[:1], scales[:1], blocks[1:], scales[1:], (0, 1), 13, 1)
+        norm = _commutator_norms(blocks[:1], scales[:1], blocks[1:], scales[1:], 13, 1)
         assert norm[0] < 1e-13
         off = [baxter_weights(EllipticPoint(K, lam, 0.3)) for lam in (LAM, 0.45)]
         assert commutation_scan(off, 13, ("even", "even"))[0, 1] > 1e-3
