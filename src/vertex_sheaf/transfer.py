@@ -26,16 +26,17 @@ expose a convention error immediately.
 Commutation scans share the trace's momentum blocks
 (``_momentum_blocks``), split further by sigma^z parity: each operand is
 built only at the orbit representatives of the cyclic shift, each row is
-read only at the sector it maps to, and the operand becomes its blocks
-A_(s,k), sector s of momentum k.  Symmetric weights are invariant under
-arrow reversal, so the global spin flip commutes with every even and odd
-row; at an odd length it maps the even orbits one to one onto the odd
-ones, both sectors' blocks are equal, and a scan of symmetric kinds
-builds and multiplies sector 0 alone.  Every other scan is an even chain
-and keeps two sectors that no row swaps.  The commutator's blocks are
-C = A B - B A on the sectors present, and its largest entry is read
-from the representative rows that an inverse DFT over k gives back
-(``commutation_scan``).  Neither path forms a 2^sites x 2^sites matrix.
+read only at its own sector, and the operand becomes its blocks A_(s,k),
+sector s of momentum k.  No operand swaps the sectors: a row that would
+(an odd row at an odd length) is built as T S, read through the global
+spin flip S.  Symmetric weights are invariant under arrow reversal, so S
+commutes with every even and odd row, [A S^a, B S^b] = [A, B] S^(a+b)
+has the entries of [A, B], and at an odd length, where every scan is
+symmetric, sector 0 holds every entry: such a scan builds and multiplies
+sector 0 alone.  The commutator's blocks are C = A B - B A on the
+sectors present, and its largest entry is read from the representative
+rows that an inverse DFT over k gives back (``commutation_scan``).
+Neither path forms a 2^sites x 2^sites matrix.
 
 Edge layout of the enumeration backend, fixed for reproducibility:
 vertices row-major, each vertex (r, c) owning its left horizontal edge
@@ -275,28 +276,23 @@ def _sectors(sites: int, period: int, split: bool = True) -> tuple:
 
     The shift keeps the number of up arrows, so an orbit has the parity
     of its states (``linalg._parity_sectors``).  Sector 0 holds the even
-    orbits in order.  At an odd site count sector 1 holds their spin
-    flips (images ~images_0), the odd orbits one to one with the same
-    sizes and weights, so an operator that commutes with the spin flip
-    has equal blocks in both (``_scan_sectors``); at an even count it
-    holds the odd orbits in order, and the smaller sector is padded to M
-    with phantom orbits of weight 0 at every k, zero rows and columns of
-    every block.  ``reps`` lists the first images, sector by sector;
-    ``images`` is sectors x M x L;
-    ``weight`` the momentum weights of the real FFT's momenta, sectors x
-    M x (L // 2 + 1); ``unweight`` sqrt(L / d_a), their inverse where
-    nonzero, 0 for a phantom.
+    orbits in order, sector 1 the odd ones, and the smaller sector is
+    padded to M with phantom orbits of weight 0 at every k, zero rows and
+    columns of every block.  At an odd site count the spin flip maps the
+    even orbits one to one onto the odd ones, so the sectors are equal in
+    size and no scan there reads sector 1 (``_transfer_of_kind``).
+    ``reps`` lists the first images, sector by sector; ``images`` is
+    sectors x M x L; ``weight`` the momentum weights of the real FFT's
+    momenta, sectors x M x (L // 2 + 1); ``unweight`` sqrt(L / d_a),
+    their inverse where nonzero, 0 for a phantom.
     """
     images, weight = _shift_orbits(sites, period)
     weight = weight[: images.shape[1] // 2 + 1].T
-    odd = np.isin(images[:, 0], linalg._parity_sectors(2**sites)[1])
-    even = np.flatnonzero(~odd)
-    if not split:
-        parts = [(images, weight)]
-    elif sites % 2:
-        parts = [(images[even], weight[even]), (images[even] ^ (2**sites - 1), weight[even])]
+    if split:
+        odd = np.isin(images[:, 0], linalg._parity_sectors(2**sites)[1])
+        parts = [(images[~odd], weight[~odd]), (images[odd], weight[odd])]
     else:
-        parts = [(images[even], weight[even]), (images[odd], weight[odd])]
+        parts = [(images, weight)]
     size = max(len(im) for im, _ in parts)
     images = np.stack([np.pad(im, ((0, size - len(im)), (0, 0)), "edge") for im, _ in parts])
     weight = np.stack([np.pad(w, ((0, size - len(w)), (0, 0))) for _, w in parts])
@@ -308,26 +304,22 @@ def _sectors(sites: int, period: int, split: bool = True) -> tuple:
     return sectors
 
 
-def _momentum_blocks(factors, flips, sites: int, period: int, split: bool = True):
+def _momentum_blocks(factors, sites: int, period: int, split: bool = True):
     """Sigma^z-sector momentum blocks B_(s,k), k = 0..L//2 (n x S x k x M x M),
-    of real operators F that commute with P^period, from their rows at the
-    orbit representatives of the first S sectors; one sector of every
-    orbit (n x 1 x k x m x m) when ``split`` is false (``_sectors``).
+    of real operators F that commute with P^period and keep the sectors,
+    from their rows at the orbit representatives of the first S sectors;
+    one sector of every orbit (n x 1 x k x m x m) when ``split`` is false
+    (``_sectors``).
 
     Yields the blocks of each array of rows drawn from ``factors``: the
-    rows (n x SM x 2^sites) of a stack of n operators at the first SM
-    representatives ``_sectors`` lists, in its order (``_row_transfer``
-    restricted to them), operator i having the f ``flips[i]``
-    (``_flip``).  S, the number of sectors, is read from the rows: both,
-    or sector 0 alone for operators that commute with the spin flip at an
-    odd length (``_scan_sectors``).  Block (s, k) of an operator maps the
-    orbits of sector s to those of sector s + f (mod 2), so a row of
-    sector s is read only at the images of that sector's orbits, the rest
-    of it being exact zeros, even when sector s + f is not itself kept;
-    a run of operators with one f is gathered together.  No other row is
-    read, so no dense F is ever formed, and the generator drops its hold
-    on each array of rows as soon as it is gathered.  The blocks of each
-    operator are those it would have alone.
+    rows (n x SM x 2^sites, or SM x 2^sites for one operator) of a stack
+    of operators at the first SM representatives ``_sectors`` lists, in
+    its order (``_row_transfer`` restricted to them).  S, the number of
+    sectors, is read from the rows.  A row of sector s is read only at
+    the images of that sector's orbits, the rest of it being exact zeros,
+    so no other row is read and no dense F is ever formed; the generator
+    drops its hold on each array of rows as soon as it is gathered.  The
+    blocks of each operator are those it would have alone.
 
     P is the cyclic shift of the chain, P^L = 1 with L = sites / period.
     With r_a the representative and d_a the size of orbit a, the states
@@ -345,26 +337,20 @@ def _momentum_blocks(factors, flips, sites: int, period: int, split: bool = True
     orbits) become zero rows and columns that no product, power or trace
     sees.  A real F has B_(L-k) = conj(B_k), the FFT of a real sequence
     at -k, and the weights at L - k equal those at k, so the L // 2 + 1
-    blocks of a real FFT determine F.  The two sectors of a target have
-    the same weights (``_sectors``), so w_a w_b is one product for every
-    f, applied to the spectrum in its own (s, n, a, b, k) layout.
+    blocks of a real FFT determine F.  The weights w_a w_b of each
+    sector are applied to the spectrum in its own (s, n, a, b, k) layout.
     """
     _, images, weight, _ = _sectors(sites, period, split)
     weight = (weight[:, :, None] * weight[:, None, :])[:, None]
-    cuts = [0, *(i for i in range(1, len(flips)) if flips[i] != flips[i - 1]), len(flips)]
+    size, length = images.shape[1:]
     for rows in factors:
-        rows = rows.reshape(len(flips), -1, images.shape[1], rows.shape[-1])
-        sectors = rows.shape[1]
-        # (sector, the operands a:b of a run with one f, its target images)
-        runs = [(s, a, b, images[s ^ flips[a]])
-                for s in range(sectors) for a, b in zip(cuts, cuts[1:])]
-        # take, unlike indexing, lays the gather out in C order: a fast copy
-        if len(runs) == 1:  # one sector, one f: the whole gather at once
-            gathered = rows.take(runs[0][3], axis=-1).transpose(1, 0, 2, 3, 4)
-        else:  # with in-range indices "clip" writes each piece in place
-            gathered = np.empty((sectors, len(flips), images.shape[1], *images.shape[1:]))
-            for s, a, b, target in runs:
-                rows[a:b, s].take(target, axis=-1, out=gathered[s, a:b], mode="clip")
+        sectors = rows.shape[-2] // size
+        rows = rows.reshape(-1, sectors, size, rows.shape[-1])
+        # take, unlike indexing, lays the gather out in C order, and with
+        # in-range indices "clip" writes each sector's piece in place
+        gathered = np.empty((sectors, len(rows), size, size, length))
+        for s in range(sectors):
+            rows[:, s].take(images[s], axis=-1, out=gathered[s], mode="clip")
         del rows
         spectrum = np.fft.rfft(gathered, axis=-1)  # (s, n, a, b, k)
         del gathered
@@ -390,7 +376,7 @@ def _shift_trace(factors, sites: int, period: int, power: int) -> float:
     result is exactly real.
     """
     step = None
-    for blocks in _momentum_blocks(factors, (0,), sites, period, False):
+    for blocks in _momentum_blocks(factors, sites, period, False):
         step = blocks if step is None else step @ blocks
     traces = np.linalg.matrix_power(step, power).diagonal(axis1=-2, axis2=-1).sum(axis=-1).real
     traces[..., 1 : (sites // period + 1) // 2] *= 2
@@ -539,17 +525,8 @@ def _flip(odd: bool, sites: int) -> int:
     return int(odd and sites % 2)
 
 
-def _scan_sectors(kinds, sites: int) -> int:
-    """The sigma^z sectors a scan of ``kinds`` builds and multiplies.
-
-    Symmetric weights are invariant under arrow reversal, so the global
-    spin flip S commutes with every even and odd row (T_od = S T_ev).  At
-    an odd length S maps sector 0's orbits onto sector 1's in the order
-    ``_sectors`` lists them, so an operand's two sector blocks are equal
-    and sector 0 holds every entry: one sector.  Otherwise two (staggered
-    kinds need an even length).
-    """
-    return 1 if sites % 2 and all(kind in _SYMMETRIC_KINDS for kind in kinds) else 2
+#: the top leg of a vertex flipped: m[:, _FLIP_TOP] is m (I (x) sigma^x)
+_FLIP_TOP = [1, 0, 3, 2]
 
 
 def _transfer_of_kind(points: list, kinds: list, sites: int, period: int):
@@ -558,29 +535,41 @@ def _transfer_of_kind(points: list, kinds: list, sites: int, period: int):
     shift by ``period`` sites (points x S x k x M x M, ``_momentum_blocks``)
     and their largest entries.
 
-    Only the rows at the orbit representatives of the S sectors
-    (``_scan_sectors``) are built, a batch of operands in one stacked
-    call, and each is read only at its target sector.  With one sector
-    the scale is the largest entry of sector 0's rows, which is the
-    largest of all: S T S = T, so the rows at the flipped representatives
-    hold the same entries.  A ``stagprod`` operator is the block product
-    (T1)_s (T2)_s (staggered rows keep the sectors), and its largest
-    entry is read from the representative rows that its blocks give back.
-    A non-finite row is refused before it becomes a block.
+    Only the rows at the orbit representatives of the S sectors are
+    built, S = 2 at an even length and 1 at an odd one, where every scan
+    is symmetric (``commutation_scan``), a batch of operands in one
+    stacked call, and each row is read only at its own sector.  No
+    operand swaps the sectors: an operator T whose rows would (``_flip``)
+    is built from its vertex matrix with the top leg flipped,
+    m (I (x) sigma^x), which gives T S, S the global spin flip: the same
+    entries, column c read at ~c, each row in its own sector.  Symmetric
+    weights are invariant under arrow reversal, so S commutes with every
+    symmetric row and [A S^a, B S^b] = [A, B] S^(a+b), a column
+    permutation of [A, B] with the same largest entry
+    (``_commutator_norms``); and max|T S| = max|T|.  With one
+    sector the scale is the largest entry of sector 0's rows, which is
+    the largest of all: S T S = T, so the rows at the flipped
+    representatives hold the same entries.  A ``stagprod`` operator is
+    the block product (T1)_s (T2)_s (staggered rows keep the sectors),
+    and its largest entry is read from the representative rows that its
+    blocks give back.  A non-finite row is refused before it becomes a
+    block.
     """
     if all(kind in _SYMMETRIC_KINDS for kind in kinds):
         if not all(isinstance(p, WeightsSym) for p in points):
             raise ValueError("symmetric kinds take WeightsSym points")
-        cells = [((lax_even if kind == "even" else lax_odd)(p),) for p, kind in zip(points, kinds)]
+        cells = []
+        for p, kind in zip(points, kinds):
+            m = (lax_even if kind == "even" else lax_odd)(p)
+            cells.append((m[:, _FLIP_TOP] if _flip(kind == "odd", sites) else m,))
         rows = (0,)
     elif kinds[0] in _STAGGERED_ROWS:
         points = [to_eight(p) if isinstance(p, WeightsSym) else p for p in points]
         cells, rows = [_cell(p, staggered=True) for p in points], _STAGGERED_ROWS[kinds[0]]
     else:
         raise ValueError(f"unknown transfer kind {kinds[0]!r}")
-    flips = [_flip(kind == "odd", sites) for kind in kinds]
     reps, images, weight, _ = _sectors(sites, period)
-    sectors, size = _scan_sectors(kinds, sites), images.shape[1]
+    sectors, size = 2 - sites % 2, images.shape[1]
     reps = reps[: sectors * size]
     blocks = np.empty((len(cells), sectors, weight.shape[2], size, size), dtype=complex)
     scales = np.empty(len(cells))
@@ -596,7 +585,7 @@ def _transfer_of_kind(points: list, kinds: list, sites: int, period: int):
             scales[part] = np.abs(row).reshape(len(row), -1).max(axis=1)
             if not np.isfinite(scales[part]).all():
                 raise ValueError("transfer rows contain non-finite entries")
-            (factor,) = _momentum_blocks([row], flips[part], sites, period)
+            (factor,) = _momentum_blocks([row], sites, period)
             del row  # released before the next row builds
             product = factor if product is None else product @ factor
         blocks[part] = product
@@ -630,19 +619,16 @@ def _largest_entries(blocks: np.ndarray, sites: int, period: int) -> np.ndarray:
     it rescales in place.
 
     Block (s, k) holds w_a w_b times the DFT over t of M[r_a, P^t r_b],
-    b an orbit of the sector that M maps sector s to; that sequence
-    repeats with the period of both orbits, so its DFT vanishes wherever
-    either weight does, and so does the block, exactly: a zero weight
-    zeroes its row and column of every block and of every product of
-    blocks.  Dividing by the nonzero weights and putting 0 elsewhere
-    therefore divides every k by the same w_a w_b = sqrt(d_a d_b) / L,
-    before the inverse real DFT over k gives the L entries back.  The two
-    sectors a row of sector s may map to have the same weights
-    (``_sectors``), so one divisor serves every M, read for the sectors
-    present.  That DFT is one product with a cached table
-    (``_inverse_dft``), for the few momenta of a chain cheaper than an
-    inverse FFT for every (a, b).  The entries between sectors that M
-    does not connect are exact zeros and are never formed.
+    a and b orbits of sector s, which M keeps; that sequence repeats
+    with the period of both orbits, so its DFT vanishes wherever either
+    weight does, and so does the block, exactly: a zero weight zeroes its
+    row and column of every block and of every product of blocks.
+    Dividing by the nonzero weights and putting 0 elsewhere therefore
+    divides every k by the same w_a w_b = sqrt(d_a d_b) / L, before the
+    inverse real DFT over k gives the L entries back.  That DFT is one
+    product with a cached table (``_inverse_dft``), for the few momenta
+    of a chain cheaper than an inverse FFT for every (a, b).  The entries
+    between the sectors are exact zeros and are never formed.
     """
     inverse, stack = _inverse_dft(sites, period), blocks.shape[:-4]
     unweight = _sectors(sites, period)[3][: blocks.shape[-4]]
@@ -658,15 +644,13 @@ def _commutator_norms(a, a_scale, b, b_scale, sites: int, period: int) -> np.nda
     member by member), from their sector blocks and largest entries
     (``_transfer_of_kind``).
 
-    The commutator's blocks are C_s = A_s B_(s+f_A) - B_s A_(s+f_B) at
-    each momentum, f the sector swap of each operand (``_flip``), and
-    that is C = A B - B A on the sectors present.  With two sectors no
-    operand swaps them (f = 1 only at an odd length).  With one, the
-    arrow-reversal invariance of a symmetric row makes the blocks of
-    sector 1 those of sector 0 (``_scan_sectors``), so
-    C_0 = A_0 B_0 - B_0 A_0 whatever f_A and f_B are, and C_1 = C_0
-    holds no other entry.  Against unsplit momentum blocks that is a
-    quarter of the arithmetic with two sectors and an eighth with one.
+    No operand swaps the sectors (``_transfer_of_kind``), so the
+    commutator's blocks are C_s = A_s B_s - B_s A_s at each momentum,
+    C = A B - B A on the sectors present.  With one sector (an odd
+    length, every operand symmetric) the spin flip maps sector 0 onto
+    sector 1 and commutes with C, so sector 0 holds every entry of C.
+    Against unsplit momentum blocks that is a quarter of the arithmetic
+    with two sectors and an eighth with one.
     The two products are formed alike in either order and for any stack,
     so swapping the operands negates C exactly, an operand against itself
     gives exactly 0, and a norm is the one its pair gives alone.  A
@@ -684,21 +668,22 @@ def _commutator_norms(a, a_scale, b, b_scale, sites: int, period: int) -> np.nda
 def _scan_bytes(points: list, sites: int, kinds: tuple[str, str]) -> int:
     """Bytes a commutation scan may hold, counted as if at once.
 
-    With M orbits a sigma^z sector (``_sectors``), S sectors built
-    (``_scan_sectors``), L = sites / period and L // 2 + 1 momenta, an
-    operand's representative rows R are SM x 2^sites float64 (8 bytes an
-    entry), their gather G at the images of the target sectors' orbits
-    S M^2 L float64, and its sector blocks B S M^2 (L // 2 + 1) complex128
-    (16 bytes an entry).  The count is the kept blocks, one B a point and
-    kind; one batch of operands (two symmetric kinds build as one stack)
-    at R + G + 2 B each, the rows, their gather, the spectrum and the
-    weighted blocks, and one B more for ``stagprod``, T1's blocks held
-    while T2 builds; and one batch of pairs (one tile of the grid) at 3 B
-    each, C and its entries, complex before their real part is read.
+    With M orbits a sigma^z sector (``_sectors``), S sectors built (two
+    at an even length, one at an odd one), L = sites / period and
+    L // 2 + 1 momenta, an operand's representative rows R are
+    SM x 2^sites float64 (8 bytes an entry), their gather G at the images
+    of their own sectors' orbits S M^2 L float64, and its sector blocks
+    B S M^2 (L // 2 + 1) complex128 (16 bytes an entry).  The count is
+    the kept blocks, one B a point and kind; one batch of operands (two
+    symmetric kinds build as one stack) at R + G + 2 B each, the rows,
+    their gather, the spectrum and the weighted blocks, and one B more
+    for ``stagprod``, T1's blocks held while T2 builds; and one batch of
+    pairs (one tile of the grid) at 3 B each, C and its entries, complex
+    before their real part is read.
     """
     period = 2 if any(kind in _STAGGERED_ROWS for kind in kinds) else 1
     size, length = _sectors(sites, period)[1].shape[1:]
-    sectors = _scan_sectors(kinds, sites)
+    sectors = 2 - sites % 2
     row = 8 * sectors * size * 2**sites
     gather = 8 * sectors * size**2 * length
     block = 16 * sectors * size**2 * (length // 2 + 1)
@@ -733,17 +718,15 @@ def commutation_scan(
     repeats every two sites).  Each operand is built only at the rows of
     the orbit representatives r_a of P^p and becomes its momentum blocks
     A_(s,k), k = 0..L//2 with L = sites / p (``_momentum_blocks``, shared
-    with the trace), split by sigma^z parity: a row maps sector s (even
-    or odd number of up arrows) to sector s + f, f = 1 only for an odd
-    row at an odd site count (``_flip``), so each row is read only at
-    that sector's orbits.  Symmetric weights are invariant under arrow
-    reversal, so at an odd site count the global spin flip, which
-    commutes with every even and odd row, maps sector 0 onto sector 1
-    with equal blocks, and a scan of symmetric kinds builds and
-    multiplies sector 0 alone (``_scan_sectors``); every other scan keeps
-    both sectors, and none of its rows swaps them.  A ``stagprod``
-    operand is the block product (T1)_s (T2)_s.  The commutator
-    C = AB - BA commutes with P^p too, and its blocks at each k are the
+    with the trace), split by sigma^z parity (even or odd number of up
+    arrows).  No operand swaps the sectors (an odd row at an odd site
+    count is read through the global spin flip S, ``_transfer_of_kind``),
+    so each row is read only at its own sector's orbits.  Staggered kinds
+    need an even site count, so at an odd one every scan is symmetric: S
+    maps sector 0 onto sector 1 and commutes with every operand, and the
+    scan builds and multiplies sector 0 alone; at an even count it keeps
+    both.  A ``stagprod`` operand is the block product (T1)_s (T2)_s.
+    The commutator C = AB - BA commutes with P^p too, and its blocks at each k are the
     products A B - B A of the sectors present (``_commutator_norms``).
     Its representative rows C[r_a, P^t r_b] come back from them: divide
     by the orbit weights where they are nonzero, put 0 elsewhere, and
@@ -763,9 +746,10 @@ def commutation_scan(
     they are small (``_SCAN_BATCH``; for unequal kinds whole rows of the
     grid at once), so that a short chain's scan makes few numpy calls.
 
-    Chains up to ``MAX_SCAN_SITES`` sites are accepted, and a scan whose
-    rows and blocks would exceed ``MAX_SCAN_BYTES`` (``_scan_bytes``) is
-    refused before anything is built.
+    Chains up to ``MAX_SCAN_SITES`` sites are accepted; a staggered kind
+    at an odd site count, and a scan whose rows and blocks would exceed
+    ``MAX_SCAN_BYTES`` (``_scan_bytes``), are refused before anything is
+    built.
     """
     if not points:
         raise ValueError("commutation scan needs at least one point")
@@ -774,13 +758,15 @@ def commutation_scan(
     if kinds[1] == kinds[0] and len(points) < 2:
         raise ValueError("a scan of equal kinds needs at least two points")
     _check_sites(sites, MAX_SCAN_SITES)
+    period = 2 if any(kind in _STAGGERED_ROWS for kind in kinds) else 1
+    if sites % period:
+        raise ValueError("staggered kinds need an even chain length")
     nbytes = _scan_bytes(points, sites, kinds)
     if nbytes > MAX_SCAN_BYTES:
         raise ValueError(
             f"commutation scan would hold {nbytes} bytes of {sites}-site "
             f"representative rows and momentum blocks, above the {MAX_SCAN_BYTES}-byte limit"
         )
-    period = 2 if any(kind in _STAGGERED_ROWS for kind in kinds) else 1
     n, same = len(points), kinds[1] == kinds[0]
     if same:
         a, a_scale = b, b_scale = _transfer_of_kind(points, [kinds[0]] * n, sites, period)

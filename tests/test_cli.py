@@ -194,6 +194,12 @@ class TestCommute:
         assert code == 2
         assert "at least two points" in rep["error"]
 
+    def test_staggered_kind_at_an_odd_length_is_a_guard_error(self, capsys):
+        code, rep = run_cli(capsys, "commute", "--mus", "0.1,0.3",
+                            "--sites", "5", "--kinds", "even,stag1")
+        assert code == 2
+        assert "staggered kinds need an even chain length" in rep["error"]
+
     def test_scan_byte_guard(self, capsys):
         # nine 14-site points of two kinds: sigma^z sectors of 596 orbits
         # (the odd one's 586 padded), L = 14 and 8 momenta, eighteen kept

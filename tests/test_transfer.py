@@ -290,10 +290,10 @@ class TestRepresentativeRows:
     @pytest.mark.parametrize("sites,period", [(1, 1), (2, 1), (2, 2), (4, 2), (5, 1), (6, 1),
                                               (7, 1), (8, 2), (9, 1)])
     def test_sectors_split_the_orbits_by_parity(self, sites, period):
-        # every orbit lands in the sector of its parity once, phantoms
-        # (weight 0 at every k, unweight 0) pad the smaller sector, and at
-        # an odd length the odd sector is the spin flip of the even one,
-        # orbit by orbit, with the same weights
+        # every orbit lands in the sector of its parity once, in order,
+        # phantoms (weight 0 at every k, unweight 0) pad the smaller
+        # sector, and at an odd length there are none: the spin flip maps
+        # the even orbits one to one onto the odd ones, with equal weights
         images, weight = _shift_orbits(sites, period)
         reps, sector_images, sector_weight, unweight = _sectors(sites, period)
         parity = np.zeros(2**sites, dtype=int)
@@ -306,9 +306,16 @@ class TestRepresentativeRows:
         assert len(found) == len(orbits) and set(found) == orbits
         assert not sector_weight[~real].any() and not unweight[~real].any()
         assert np.allclose(unweight[real] * sector_weight[..., 0][real], 1.0)
+        for sector in (0, 1):
+            firsts = sector_images[sector][real[sector], 0]
+            assert np.all(np.diff(firsts) > 0)
         if sites % 2:
-            assert np.array_equal(sector_images[1], sector_images[0] ^ (2**sites - 1))
-            assert np.array_equal(sector_weight[1], sector_weight[0]) and real.all()
+            assert real.all()
+            odd = {frozenset(row): w for row, w in
+                   zip(sector_images[1].tolist(), sector_weight[1].tolist())}
+            flips = {frozenset(row): w for row, w in
+                     zip((sector_images[0] ^ (2**sites - 1)).tolist(), sector_weight[0].tolist())}
+            assert flips == odd
         whole = _sectors(sites, period, False)
         assert np.array_equal(whole[1][0], images) and np.array_equal(whole[0], images[:, 0])
         assert np.array_equal(whole[2][0], weight[: images.shape[1] // 2 + 1].T)
@@ -316,23 +323,30 @@ class TestRepresentativeRows:
 
 class TestSpinFlipSectors:
     """Weights invariant under arrow reversal give rows that commute with
-    the spin flip, which at an odd length maps sigma^z sector 0 onto
-    sector 1 orbit by orbit: the two sector blocks are equal, and a
-    symmetric scan keeps sector 0 alone."""
+    the spin flip S, which at an odd length maps sigma^z sector 0 onto
+    sector 1: S T S = T row by row, and a symmetric scan keeps sector 0
+    alone."""
+
+    @staticmethod
+    def flipped_rows(lax, sites):
+        # the rows at the even representatives, and those at their spin
+        # flips read at reversed columns: S T S at the same rows
+        reps = _sectors(sites, 1)[1][0, :, 0]
+        flips = reps ^ (2**sites - 1)
+        return _cell_row((lax,), sites, 0, reps), _cell_row((lax,), sites, 0, flips)[:, ::-1]
 
     @pytest.mark.parametrize("sites", [1, 3, 5, 7, 9, 11])
     @pytest.mark.parametrize("kind", ["even", "odd"])
     def test_symmetric_rows_have_equal_sectors(self, sites, kind, rng):
-        # both sectors, as the scans built them before: every representative
-        # row, gathered at its target images through _momentum_blocks
         point = random_sym(rng)
         lax = (lax_even if kind == "even" else lax_odd)(point)
-        reps = _sectors(sites, 1)[0]
-        row = _cell_row((lax,), sites, 0, reps)
-        (blocks,) = _momentum_blocks([row], [_flip(kind == "odd", sites)], sites, 1)
-        assert blocks.shape[1] == 2 and np.array_equal(blocks[0, 0], blocks[0, 1])
-        # the scan's operand is sector 0 of those blocks, bit for bit, and
-        # its scale, read from sector 0's rows, is the largest entry of all
+        row, flipped = self.flipped_rows(lax, sites)
+        assert np.array_equal(flipped, row)
+        # the scan's operand is sector 0 of the blocks of those rows, an
+        # odd row read through S, bit for bit, and its scale, read from
+        # sector 0's rows, is the largest entry of all
+        read = row[:, ::-1] if _flip(kind == "odd", sites) else row
+        (blocks,) = _momentum_blocks([read], sites, 1)
         one, scale = _transfer_of_kind([point], [kind], sites, 1)
         assert one.shape == (1, 1, *blocks.shape[2:])
         assert np.array_equal(one[0, 0], blocks[0, 0])
@@ -343,12 +357,9 @@ class TestSpinFlipSectors:
     @pytest.mark.parametrize("family", [EV, OD])
     def test_eight_unrelated_weights_have_unequal_sectors(self, family, rng):
         # the negative control: a row of random eight weights does not
-        # commute with the spin flip, and its sectors differ
-        reps = _sectors(5, 1)[0]
-        row = _cell_row((lax_asym(random_eight(rng, family)),), 5, 0, reps)
-        (blocks,) = _momentum_blocks([row], [_flip(family is OD, 5)], 5, 1)
-        gap = np.abs(blocks[0, 0] - blocks[0, 1]).max()
-        assert gap > 1e-3 * np.abs(blocks).max()
+        # commute with the spin flip, and S T S differs from T
+        row, flipped = self.flipped_rows(lax_asym(random_eight(rng, family)), 5)
+        assert np.abs(flipped - row).max() > 1e-3 * np.abs(row).max()
 
     @pytest.mark.parametrize("kinds,sites,period,sectors", [
         (["even", "odd"], 4, 1, 2), (["odd"], 6, 1, 2), (["even", "odd"], 7, 1, 1),
@@ -358,6 +369,46 @@ class TestSpinFlipSectors:
         points = [elliptic_weights(0.1 * (i + 1)) for i in range(len(kinds))]
         blocks, _ = _transfer_of_kind(points, kinds, sites, period)
         assert blocks.shape[1] == sectors
+
+    @pytest.mark.parametrize("sites", [1, 3, 5, 7, 9, 11])
+    def test_odd_rows_are_read_through_the_spin_flip(self, sites, rng):
+        # a vertex with its top leg flipped, m (I (x) sigma^x), builds T S:
+        # the plain row at reversed columns, bit for bit, every row exactly
+        # 0.0 outside its own sector, for symmetric and eight-weight odd
+        # vertices alike
+        parity = np.zeros(2**sites, dtype=int)
+        parity[linalg._parity_sectors(2**sites)[1]] = 1
+        reps = _sectors(sites, 1)[0]
+        outside = parity[None, :] != parity[reps][:, None]
+        assert _flip(True, sites)
+        for m in (lax_odd(random_sym(rng)), lax_asym(random_eight(rng, OD))):
+            flipped = m[:, [1, 0, 3, 2]]
+            assert np.array_equal(flipped, m @ np.kron(np.eye(2), SX.real))
+            read = _cell_row((flipped,), sites, 0, reps)
+            assert np.array_equal(read, _cell_row((m,), sites, 0, reps)[:, ::-1])
+            assert np.all(read[outside] == 0.0)
+
+    @pytest.mark.parametrize("sites", range(1, 12))
+    def test_symmetric_manifolds_coincide(self, sites, rng):
+        # the even and odd symmetric models share their commuting manifold,
+        # read off the scan: every symmetric kind pair gives the even,even
+        # grid, bit for bit at an odd length (the odd operand there is the
+        # even one, read through the spin flip) and to rounding at an even
+        # one, on the manifold and off it
+        on = [elliptic_weights(mu) for mu in (0.1, 0.25, 0.4)]
+        off = [baxter_weights(EllipticPoint(K, lam, 0.3)) for lam in (LAM, 0.45)]
+        for points in (on, off + [random_sym(rng)]):
+            ref = commutation_scan(points, sites, ("even", "even"))
+            big = ref > 1e-12
+            for kinds in (("odd", "odd"), ("even", "odd"), ("odd", "even")):
+                grid = commutation_scan(points, sites, kinds)
+                if sites % 2:
+                    assert np.array_equal(grid, ref)
+                else:
+                    assert np.all(np.abs(grid - ref)[big] <= 1e-13 * ref[big])
+                    assert grid[~big].max() < 1e-12 and ref[~big].max() < 1e-12
+        if sites >= 3:  # off the manifold the grid is not vacuous
+            assert ref[0, 1] > 1e-3
 
 
 class TestRealArithmetic:
@@ -998,6 +1049,22 @@ class TestCommutationScan:
         assert norm[0] < 1e-13
         off = [baxter_weights(EllipticPoint(K, lam, 0.3)) for lam in (LAM, 0.45)]
         assert commutation_scan(off, 13, ("even", "even"))[0, 1] > 1e-3
+
+    @pytest.mark.parametrize("kinds,sites", [(("even", "stag1"), 5), (("stagprod", "odd"), 7)])
+    def test_staggered_kinds_at_an_odd_length_build_nothing(self, kinds, sites, monkeypatch):
+        # refused with the other guards, before any row is built
+        built = []
+        cell_row = transfer._cell_row
+
+        def spy(cell, sites, *args):
+            built.append(sites)
+            return cell_row(cell, sites, *args)
+
+        monkeypatch.setattr(transfer, "_cell_row", spy)
+        points = [elliptic_weights(mu) for mu in (0.1, 0.3)]
+        with pytest.raises(ValueError, match="staggered kinds need an even chain length"):
+            commutation_scan(points, sites, kinds)
+        assert built == []
 
     def test_scan_chain_bound(self):
         # scans reach 14 sites; dense transfer matrices stay at 12
