@@ -11,6 +11,10 @@ threshold; its default comes from ``DEFAULT_THRESHOLDS``.
 Each ``cmd_*`` function builds its own report fields and returns
 ``(report, ok)``; ``main`` alone resolves the threshold, appends
 ``"pass"``, serializes and picks the exit code.
+
+The options are declared once, in ``_COMMANDS``.  ``main`` reads a plain
+argv straight into argparse's namespace (``_read_plain``) and hands any
+other to the argparse parser, which alone prints help and usage errors.
 """
 
 from __future__ import annotations
@@ -275,6 +279,73 @@ def cmd_sample_krinsky(args, tol) -> tuple[dict, bool]:
     return report, max(ff) < tol and gap < tol
 
 
+#: each subcommand's function, help, threshold and own options, as
+#: (option string, ``add_argument`` keywords); the argparse parser and the
+#: plain-argv reader are both built from it
+_COMMANDS = {
+    "param": (cmd_param, "elliptic weights and manifold invariants", None, (
+        ("--k", dict(type=float, required=True)),
+        ("--lam", dict(type=float, required=True)),
+        ("--mu", dict(type=float, required=True)),
+    )),
+    "ybe": (cmd_ybe, "parity-labelled Yang-Baxter residuals", "residual", (
+        ("--k", dict(type=float, default=0.5)),
+        ("--lam", dict(type=float, default=0.7)),
+        ("--mu1", dict(type=float, required=True)),
+        ("--mu2", dict(type=float, required=True)),
+        ("--parities", dict(default="od,od,ev", help="three of ev/od, or 'all'")),
+        ("--detune", dict(type=float, default=0.0,
+                          help="shift the middle spectral argument (negative control)")),
+    )),
+    "solve-r": (cmd_solve_r, "discover the intertwiner by SVD kernel", "kernel", (
+        ("--k", dict(type=float, default=0.5)),
+        ("--lam", dict(type=float, default=0.7)),
+        ("--mu1", dict(type=float, default=None)),
+        ("--mu2", dict(type=float, default=None)),
+        ("--weights1", dict(help="a,b,c,d of the first point (off-manifold runs)")),
+        ("--weights2", dict(help="a,b,c,d of the second point")),
+    )),
+    "commute": (cmd_commute, "pairwise transfer-matrix commutators", "commutator", (
+        ("--k", dict(type=float, default=0.5)),
+        ("--lam", dict(type=float, default=0.7)),
+        ("--mus", dict(required=True, help="comma-separated spectral points")),
+        ("--sites", dict(type=int, default=6)),
+        ("--kinds", dict(default="even,even", help="two of even/odd/stag1/stag2/stagprod")),
+    )),
+    "partition": (cmd_partition, "torus partition function", "enumeration", (
+        ("--model", dict(choices=("even", "odd"), required=True)),
+        ("--rows", dict(type=int, required=True)),
+        ("--cols", dict(type=int, required=True)),
+        ("--weights", dict(help="w1..w8 comma-separated; omit to draw from --seed")),
+        ("--seed", dict(type=int, default=0)),
+        ("--staggered", dict(action="store_true")),
+        ("--backend", dict(choices=(*transfer.BACKENDS, "both"), default="both")),
+    )),
+    "wukunz": (cmd_wukunz, "uniform vs staggered equivalence check", "enumeration", (
+        ("--model", dict(choices=("even", "odd"), default="odd")),
+        ("--rows", dict(type=int, default=2)),
+        ("--cols", dict(type=int, default=2)),
+        ("--weights", dict(help="w1..w8 comma-separated; omit to draw from --seed")),
+        ("--seed", dict(type=int, default=0)),
+        ("--backend", dict(choices=tuple(transfer.BACKENDS), default="enumerate")),
+    )),
+    "sample-krinsky": (cmd_sample_krinsky, "seeded on-manifold weight pair", "commutator", (
+        ("--seed", dict(type=int, required=True)),
+    )),
+}
+
+
+def _options(name: str) -> tuple:
+    """Every option of a subcommand: ``--output``, ``--tol`` if it has a
+    threshold, then its own."""
+    _, _, threshold, own = _COMMANDS[name]
+    common = [("--output", dict(help="write the report to a file instead of stdout"))]
+    if threshold is not None:
+        common.append(("--tol", dict(type=positive_float, default=DEFAULT_THRESHOLDS[threshold],
+                                     help="pass threshold (default: %(default)g)")))
+    return (*common, *own)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -282,73 +353,76 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Eight-vertex integrability checks with JSON reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help, threshold=None):
+    for name, (func, help, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
-        p.add_argument("--output", help="write the report to a file instead of stdout")
-        if threshold is not None:
-            p.add_argument("--tol", type=positive_float,
-                           default=DEFAULT_THRESHOLDS[threshold],
-                           help="pass threshold (default: %(default)g)")
+        for flag, kwargs in _options(name):
+            p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
-        return p
-
-    p = command("param", cmd_param, "elliptic weights and manifold invariants")
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--lam", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
-
-    p = command("ybe", cmd_ybe, "parity-labelled Yang-Baxter residuals", "residual")
-    p.add_argument("--k", type=float, default=0.5)
-    p.add_argument("--lam", type=float, default=0.7)
-    p.add_argument("--mu1", type=float, required=True)
-    p.add_argument("--mu2", type=float, required=True)
-    p.add_argument("--parities", default="od,od,ev", help="three of ev/od, or 'all'")
-    p.add_argument("--detune", type=float, default=0.0,
-                   help="shift the middle spectral argument (negative control)")
-
-    p = command("solve-r", cmd_solve_r, "discover the intertwiner by SVD kernel", "kernel")
-    p.add_argument("--k", type=float, default=0.5)
-    p.add_argument("--lam", type=float, default=0.7)
-    p.add_argument("--mu1", type=float, default=None)
-    p.add_argument("--mu2", type=float, default=None)
-    p.add_argument("--weights1", help="a,b,c,d of the first point (off-manifold runs)")
-    p.add_argument("--weights2", help="a,b,c,d of the second point")
-
-    p = command("commute", cmd_commute, "pairwise transfer-matrix commutators", "commutator")
-    p.add_argument("--k", type=float, default=0.5)
-    p.add_argument("--lam", type=float, default=0.7)
-    p.add_argument("--mus", required=True, help="comma-separated spectral points")
-    p.add_argument("--sites", type=int, default=6)
-    p.add_argument("--kinds", default="even,even", help="two of even/odd/stag1/stag2/stagprod")
-
-    p = command("partition", cmd_partition, "torus partition function", "enumeration")
-    p.add_argument("--model", choices=("even", "odd"), required=True)
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--weights", help="w1..w8 comma-separated; omit to draw from --seed")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--staggered", action="store_true")
-    p.add_argument("--backend", choices=(*transfer.BACKENDS, "both"), default="both")
-
-    p = command("wukunz", cmd_wukunz, "uniform vs staggered equivalence check", "enumeration")
-    p.add_argument("--model", choices=("even", "odd"), default="odd")
-    p.add_argument("--rows", type=int, default=2)
-    p.add_argument("--cols", type=int, default=2)
-    p.add_argument("--weights", help="w1..w8 comma-separated; omit to draw from --seed")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", choices=tuple(transfer.BACKENDS), default="enumerate")
-
-    p = command("sample-krinsky", cmd_sample_krinsky, "seeded on-manifold weight pair",
-                "commutator")
-    p.add_argument("--seed", type=int, required=True)
-
     return parser
+
+
+def _reader(name: str) -> tuple:
+    """(func, option string -> (dest, type or None for a flag, choices),
+    defaults, required dests) of a subcommand, read off ``_options`` as
+    ``add_argument`` reads its keywords."""
+    spec, defaults, required = {}, {}, set()
+    for flag, kwargs in _options(name):
+        dest, is_flag = flag[2:].replace("-", "_"), kwargs.get("action") == "store_true"
+        spec[flag] = dest, None if is_flag else kwargs.get("type", str), kwargs.get("choices")
+        defaults[dest] = kwargs.get("default", False if is_flag else None)
+        if kwargs.get("required"):
+            required.add(dest)
+    return _COMMANDS[name][0], spec, defaults, required
+
+
+_READERS = {name: _reader(name) for name in _COMMANDS}
+
+
+def _read_plain(argv: list):
+    """The namespace ``parse_args`` gives a plain argv, or None.
+
+    Plain is a subcommand followed only by its own option strings, each
+    with one value that does not start with "-" (a flag with none), every
+    value converting and within its choices, and every required option
+    given.  A repeated option keeps its last value, as in argparse.
+    """
+    if not argv or argv[0] not in _READERS:
+        return None
+    func, spec, defaults, required = _READERS[argv[0]]
+    values, seen = dict(defaults), set()
+    words = iter(argv[1:])
+    try:
+        for word in words:
+            dest, convert, choices = spec[word]
+            if convert is None:
+                values[dest] = True
+            else:
+                text = next(words)
+                if text.startswith("-"):
+                    return None
+                values[dest] = convert(text)
+                if choices is not None and values[dest] not in choices:
+                    return None
+            seen.add(dest)
+    except (KeyError, StopIteration, AttributeError, TypeError, ValueError,
+            argparse.ArgumentTypeError):
+        return None
+    if not required <= seen:
+        return None
+    return argparse.Namespace(command=argv[0], func=func, **values)
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``: a plain argv is read directly,
+    any other (help, an abbreviation, ``--name=value``, a negative value,
+    an error) goes to argparse, the only source of help and usage text."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    return _read_plain(argv) or _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one subcommand; write its report and return the exit code."""
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         report, ok = args.func(args, getattr(args, "tol", None))
         code = 0 if ok else 1

@@ -7,12 +7,14 @@ float64, and complex input stays complex128.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 __all__ = [
     "as_matrix",
     "max_abs",
+    "real_abs_max",
     "kron_chain",
     "rel_commutator_norm",
     "rel_gap",
@@ -31,15 +33,27 @@ def as_matrix(entries) -> np.ndarray:
     m = m.astype(np.result_type(m, float), copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    finite = np.isfinite(m).all() if m.dtype.kind == "c" else math.isfinite(max_abs(m))
+    if not finite:
         raise ValueError("matrix contains non-finite entries")
     return m
+
+
+def real_abs_max(a: np.ndarray, axis=None) -> np.ndarray:
+    """max |a| along ``axis`` for non-empty real ``a``, without an |a| copy.
+
+    The largest of max a and -min a: nan and +-inf propagate as they do
+    through ``np.abs``, and adding 0.0 turns an all-zero -0.0 into 0.0.
+    """
+    return np.maximum(a.max(axis=axis), -a.min(axis=axis)) + 0.0
 
 
 def max_abs(a: np.ndarray) -> float:
     """Max-absolute-entry norm, the residual norm used throughout."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    if not a.size:
+        return 0.0
+    return float(real_abs_max(a) if a.dtype.kind == "f" else np.max(np.abs(a)))
 
 
 def kron_chain(mats) -> np.ndarray:
@@ -109,7 +123,7 @@ def _sector_max(a: dict, b: dict, x: int, y: int) -> float:
         c = ba  # C = -BA: the sign does not move max_abs
     elif ba is not None:
         c -= ba
-    del ba  # release before max_abs allocates |C|
+    del ba  # release before max_abs, which copies a complex C
     return 0.0 if c is None else max_abs(c)
 
 

@@ -582,7 +582,7 @@ def _transfer_of_kind(points: list, kinds: list, sites: int, period: int):
         for r in rows:
             row = _cell_row(cell, sites, r, reps)
             # nan and inf propagate to the maximum
-            scales[part] = np.abs(row).reshape(len(row), -1).max(axis=1)
+            scales[part] = linalg.real_abs_max(row.reshape(len(row), -1), axis=1)
             if not np.isfinite(scales[part]).all():
                 raise ValueError("transfer rows contain non-finite entries")
             (factor,) = _momentum_blocks([row], sites, period)

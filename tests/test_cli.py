@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vertex_sheaf
 from vertex_sheaf import cli, elliptic, operators, transfer
@@ -416,3 +421,101 @@ def test_module_entry_point():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["gamma"] == pytest.approx(0.5347565432466495, abs=1e-12)
+
+
+def _outcome(parse, argv):
+    """(namespace fields or exit code, stdout, stderr) of one parse; the
+    fields as sorted (name, repr) pairs, so nan equals nan and -0.0 does
+    not equal 0.0."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            result = sorted((key, repr(value)) for key, value in vars(parse(list(argv))).items())
+    except SystemExit as exc:
+        result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _value_text(kwargs):
+    if "choices" in kwargs:
+        return st.sampled_from(kwargs["choices"])
+    # mostly plain values; a negative one, or a --tol at or below 0, goes to argparse
+    numbers = {int: st.integers(-9, 99).map(str), float: st.floats(-0.25, 2.0).map(repr)}
+    numbers[cli.positive_float] = numbers[float]
+    return numbers.get(kwargs.get("type"), st.text("0123456789.,abdeov", max_size=10))
+
+
+@st.composite
+def _cli_argv(draw):
+    """A subcommand, its required options and a random subset of the others
+    (repeats allowed) in random order, some as ``--name=value``."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    options = cli._options(name)
+    required = [opt for opt in options if opt[1].get("required")]
+    chosen = draw(st.permutations(required + draw(st.lists(st.sampled_from(options),
+                                                           max_size=6))))
+    argv = [name]
+    for flag, kwargs in chosen:
+        if kwargs.get("action") == "store_true":
+            argv.append(flag)
+            continue
+        text = draw(_value_text(kwargs))
+        argv += [f"{flag}={text}"] if draw(st.integers(0, 7)) == 0 else [flag, text]
+    return argv
+
+
+@settings(max_examples=400)
+@given(_cli_argv())
+def test_reader_gives_argparse_namespace(argv):
+    assert _outcome(cli._parse, argv) == _outcome(cli._build_parser().parse_args, argv)
+
+
+PLAIN_ARGV = [
+    ["param", "--k", "0.5", "--lam", "0.7", "--mu", "0.3"],
+    ["ybe", "--mu1", "0.2", "--mu2", "0.3", "--parities", "all", "--tol", "1e-9"],
+    ["solve-r", "--weights1", "1,0.4,2.2,0.9", "--weights2", "0.7,1.3,0.5,1.1"],
+    ["commute", "--mus", "0.1,0.3", "--sites", "4", "--kinds", "even,odd", "--sites", "5"],
+    ["partition", "--staggered", "--model", "odd", "--rows", "2", "--cols", "2"],
+    ["wukunz", "--backend", "trace", "--seed", "42"],
+    ["sample-krinsky", "--seed", "4"],
+]
+
+
+def test_plain_argv_skips_argparse(capsys, monkeypatch):
+    calls = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    for argv in PLAIN_ARGV:
+        code, rep = run_cli(capsys, *argv)
+        assert code == 0 and rep["command"] == argv[0]
+    assert calls == []
+    # any other argv still goes through argparse
+    run_cli(capsys, "param", "--k=0.5", "--lam", "0.7", "--mu", "0.3")
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["ybe", "--help"],
+        [],
+        ["frobnicate", "--seed", "4"],
+        ["ybe", "--mu1", "0.2", "--mu2", "0.3", "--la", "0.7"],
+        ["param", "--k", "0.5", "--lam", "0.7", "--mu", "-0.3"],
+        ["ybe", "--mu1", "0.2", "--mu2", "0.3", "--tol", "0"],
+        ["ybe", "--mu1", "0.2", "--mu2"],
+        ["ybe", "--mu1", "0.2"],
+        ["partition", "--model", "sideways", "--rows", "2", "--cols", "2"],
+    ],
+)
+def test_help_and_usage_errors_are_argparse_own(argv):
+    outcome = _outcome(cli._parse, argv)
+    assert outcome == _outcome(cli._build_parser().parse_args, argv)
+    if isinstance(outcome[0], int):
+        assert outcome[1] + outcome[2]  # help on stdout or usage on stderr

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +53,47 @@ class TestAsMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             linalg.as_matrix(np.zeros((2, 3)))
+
+    def test_empty_matrix_is_accepted(self):
+        assert linalg.as_matrix(np.zeros((0, 0))).shape == (0, 0)
+
+    def test_huge_complex_entries_are_finite(self):
+        # |1e308 + 1e308j| overflows, but the entries are finite
+        m = np.full((2, 2), complex(1e308, 1e308))
+        assert linalg.as_matrix(m) is m
+
+
+class TestMaxAbs:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_equals_the_largest_absolute_entry_bit_for_bit(self, dtype, rng):
+        a = rng.normal(size=(7, 9)).astype(dtype)
+        a[3, 4] = -5.0  # a negative entry is the largest
+        assert linalg.max_abs(a) == np.abs(a).max() == 5.0
+        assert linalg.max_abs(-a) == np.abs(a).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_propagate(self, bad):
+        a = np.zeros((3, 3))
+        a[2, 1] = bad
+        rows = linalg.real_abs_max(a, axis=1)
+        if np.isnan(bad):
+            assert np.isnan(linalg.max_abs(a)) and np.isnan(rows[2])
+        else:
+            assert linalg.max_abs(a) == rows[2] == np.inf
+        assert rows[:2].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_all_zero_gives_positive_zero(self, zero):
+        assert math.copysign(1.0, linalg.max_abs(np.full((2, 3), zero))) == 1.0
+        rows = linalg.real_abs_max(np.full((2, 3), zero), axis=1)
+        assert np.copysign(1.0, rows).tolist() == [1.0, 1.0]
+
+    def test_empty_gives_zero(self):
+        assert linalg.max_abs(np.zeros((0, 4))) == 0.0
+        assert linalg.max_abs(np.zeros(0, dtype=complex)) == 0.0
+
+    def test_integer_input_uses_abs(self):
+        assert linalg.max_abs(np.array([[1, -3], [2, 0]])) == 3.0
 
 
 class TestCommutatorNorm:

@@ -1087,6 +1087,15 @@ class TestCommutationScan:
         with pytest.raises(ValueError, match="non-finite"):
             commutation_scan(points, 4, ("even", "odd"))
 
+    def test_scales_are_largest_absolute_entries(self):
+        # a negative row's scale is its most negative entry, negated, and
+        # an all-zero row's is +0.0
+        points = [WeightsSym(-1.0, -0.5, -2.0, -0.3), WeightsSym(0, 0, 0, 0)]
+        _, scales = _transfer_of_kind(points, ["even", "even"], 5, 1)
+        dense = transfer_matrix(lax_even(points[0]), 5).matrix
+        assert dense.min() < 0.0 and scales[0] == np.abs(dense).max()
+        assert np.copysign(1.0, scales[1]) == 1.0 and scales[1] == 0.0
+
     def test_all_zero_operand_gives_zero(self):
         points = [WeightsSym(0, 0, 0, 0), elliptic_weights(0.2)]
         norms = commutation_scan(points, 4, ("even", "odd"))
