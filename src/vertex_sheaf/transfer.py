@@ -27,11 +27,10 @@ Commutation scans share the trace's momentum blocks
 (``_momentum_blocks``), split further by sigma^z parity: each operand is
 built only at the orbit representatives of the cyclic shift, each row is
 read only at its own sector, and the operand becomes its blocks A_(s,k),
-sector s of momentum k.  No operand swaps the sectors: a row that would
-(an odd row at an odd length) is built as T S, read through the global
-spin flip S.  Symmetric weights are invariant under arrow reversal, so S
-commutes with every even and odd row, [A S^a, B S^b] = [A, B] S^(a+b)
-has the entries of [A, B], and at an odd length, where every scan is
+sector s of momentum k.  Symmetric weights are invariant under arrow
+reversal, so the global spin flip S commutes with every symmetric row,
+and T_od = S T_ev: [A, S B] = S [A, B] and max|S T| = max|T|, so a scan
+reads every odd kind as even, and at an odd length, where every scan is
 symmetric, sector 0 holds every entry: such a scan builds and multiplies
 sector 0 alone.  The commutator's blocks are C = A B - B A on the
 sectors present, and its largest entry is read from the representative
@@ -54,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .operators import SIGMA_X, lax_asym, lax_even, lax_odd
+from .operators import SIGMA_X, lax_asym, lax_even
 from .weights import WeightsEight, WeightsSym, reparity, staggered_companion, to_eight
 
 __all__ = [
@@ -278,9 +277,10 @@ def _sectors(sites: int, period: int, split: bool = True) -> tuple:
     of its states (``linalg._parity_sectors``).  Sector 0 holds the even
     orbits in order, sector 1 the odd ones, and the smaller sector is
     padded to M with phantom orbits of weight 0 at every k, zero rows and
-    columns of every block.  At an odd site count the spin flip maps the
-    even orbits one to one onto the odd ones, so the sectors are equal in
-    size and no scan there reads sector 1 (``_transfer_of_kind``).
+    columns of every block.  At an odd site count the spin flip S maps
+    the even orbits one to one onto the odd ones, so the sectors are equal
+    in size, and S T S = T for every symmetric row T, the only rows a scan
+    there builds: no scan there reads sector 1 (``commutation_scan``).
     ``reps`` lists the first images, sector by sector; ``images`` is
     sectors x M x L; ``weight`` the momentum weights of the real FFT's
     momenta, sectors x M x (L // 2 + 1); ``unweight`` sqrt(L / d_a),
@@ -503,7 +503,6 @@ def wu_kunz_check(
     }
 
 
-_SYMMETRIC_KINDS = ("even", "odd")
 #: the rows of the staggered cell each staggered kind multiplies, in order
 _STAGGERED_ROWS = {"stag1": (0,), "stag2": (1,), "stagprod": (0, 1)}
 #: entries one batched step of a commutation scan may span: a short
@@ -517,57 +516,34 @@ def _batch(entries: int) -> int:
     return max(1, _SCAN_BATCH // entries)
 
 
-def _flip(odd: bool, sites: int) -> int:
-    """f, the number of odd-family vertices of a row mod 2: each vertex is
-    nonzero for one parity of its four legs, so the row maps sigma^z
-    parity s to s + f.  Only odd rows at an odd site count swap the
-    sectors (staggered rows are even chains)."""
-    return int(odd and sites % 2)
-
-
-#: the top leg of a vertex flipped: m[:, _FLIP_TOP] is m (I (x) sigma^x)
-_FLIP_TOP = [1, 0, 3, 2]
-
-
-def _transfer_of_kind(points: list, kinds: list, sites: int, period: int):
-    """The transfer operators of kinds[i] at points[i] (all symmetric kinds,
-    or one staggered kind) as their sigma^z-sector momentum blocks for the
-    shift by ``period`` sites (points x S x k x M x M, ``_momentum_blocks``)
-    and their largest entries.
+def _transfer_of_kind(points: list, kind: str, sites: int, period: int):
+    """The ``kind`` transfer operators at points (``even`` at symmetric
+    points, or a staggered kind) as their sigma^z-sector momentum blocks
+    for the shift by ``period`` sites (points x S x k x M x M,
+    ``_momentum_blocks``) and their largest entries.
 
     Only the rows at the orbit representatives of the S sectors are
     built, S = 2 at an even length and 1 at an odd one, where every scan
     is symmetric (``commutation_scan``), a batch of operands in one
-    stacked call, and each row is read only at its own sector.  No
-    operand swaps the sectors: an operator T whose rows would (``_flip``)
-    is built from its vertex matrix with the top leg flipped,
-    m (I (x) sigma^x), which gives T S, S the global spin flip: the same
-    entries, column c read at ~c, each row in its own sector.  Symmetric
-    weights are invariant under arrow reversal, so S commutes with every
-    symmetric row and [A S^a, B S^b] = [A, B] S^(a+b), a column
-    permutation of [A, B] with the same largest entry
-    (``_commutator_norms``); and max|T S| = max|T|.  With one
-    sector the scale is the largest entry of sector 0's rows, which is
-    the largest of all: S T S = T, so the rows at the flipped
+    stacked call, and each row is read only at its own sector: even and
+    staggered rows keep the sectors.  With one sector the scale is the
+    largest entry of sector 0's rows, which is the largest of all:
+    symmetric weights are invariant under arrow reversal, so S T S = T
+    for the global spin flip S, and the rows at the flipped
     representatives hold the same entries.  A ``stagprod`` operator is
-    the block product (T1)_s (T2)_s (staggered rows keep the sectors),
-    and its largest entry is read from the representative rows that its
-    blocks give back.  A non-finite row is refused before it becomes a
-    block.
+    the block product (T1)_s (T2)_s, and its largest entry is read from
+    the representative rows that its blocks give back.  A non-finite row
+    is refused before it becomes a block.
     """
-    if all(kind in _SYMMETRIC_KINDS for kind in kinds):
+    if kind == "even":
         if not all(isinstance(p, WeightsSym) for p in points):
             raise ValueError("symmetric kinds take WeightsSym points")
-        cells = []
-        for p, kind in zip(points, kinds):
-            m = (lax_even if kind == "even" else lax_odd)(p)
-            cells.append((m[:, _FLIP_TOP] if _flip(kind == "odd", sites) else m,))
-        rows = (0,)
-    elif kinds[0] in _STAGGERED_ROWS:
+        cells, rows = [(lax_even(p),) for p in points], (0,)
+    elif kind in _STAGGERED_ROWS:
         points = [to_eight(p) if isinstance(p, WeightsSym) else p for p in points]
-        cells, rows = [_cell(p, staggered=True) for p in points], _STAGGERED_ROWS[kinds[0]]
+        cells, rows = [_cell(p, staggered=True) for p in points], _STAGGERED_ROWS[kind]
     else:
-        raise ValueError(f"unknown transfer kind {kinds[0]!r}")
+        raise ValueError(f"unknown transfer kind {kind!r}")
     reps, images, weight, _ = _sectors(sites, period)
     sectors, size = 2 - sites % 2, images.shape[1]
     reps = reps[: sectors * size]
@@ -634,8 +610,7 @@ def _largest_entries(blocks: np.ndarray, sites: int, period: int) -> np.ndarray:
     unweight = _sectors(sites, period)[3][: blocks.shape[-4]]
     blocks *= (unweight[:, :, None] * unweight[:, None, :])[:, None]
     entries = (inverse @ blocks.reshape(*stack, *blocks.shape[-4:-2], -1)).real.reshape(*stack, -1)
-    # max |entry| without an |entries| copy
-    return np.maximum(entries.max(axis=-1), -entries.min(axis=-1))
+    return linalg.real_abs_max(entries, axis=-1)
 
 
 def _commutator_norms(a, a_scale, b, b_scale, sites: int, period: int) -> np.ndarray:
@@ -644,11 +619,12 @@ def _commutator_norms(a, a_scale, b, b_scale, sites: int, period: int) -> np.nda
     member by member), from their sector blocks and largest entries
     (``_transfer_of_kind``).
 
-    No operand swaps the sectors (``_transfer_of_kind``), so the
-    commutator's blocks are C_s = A_s B_s - B_s A_s at each momentum,
-    C = A B - B A on the sectors present.  With one sector (an odd
-    length, every operand symmetric) the spin flip maps sector 0 onto
-    sector 1 and commutes with C, so sector 0 holds every entry of C.
+    Every operand keeps the sectors, so the commutator's blocks are
+    C_s = A_s B_s - B_s A_s at each momentum, C = A B - B A on the
+    sectors present.  With one sector (an odd length, every operand
+    symmetric) the spin flip S maps sector 0 onto sector 1, and
+    S C S = C since S commutes with every symmetric row, so sector 0
+    holds every entry of C.
     Against unsplit momentum blocks that is a quarter of the arithmetic
     with two sectors and an eighth with one.
     The two products are formed alike in either order and for any stack,
@@ -674,12 +650,12 @@ def _scan_bytes(points: list, sites: int, kinds: tuple[str, str]) -> int:
     SM x 2^sites float64 (8 bytes an entry), their gather G at the images
     of their own sectors' orbits S M^2 L float64, and its sector blocks
     B S M^2 (L // 2 + 1) complex128 (16 bytes an entry).  The count is
-    the kept blocks, one B a point and kind; one batch of operands (two
-    symmetric kinds build as one stack) at R + G + 2 B each, the rows,
-    their gather, the spectrum and the weighted blocks, and one B more
-    for ``stagprod``, T1's blocks held while T2 builds; and one batch of
-    pairs (one tile of the grid) at 3 B each, C and its entries, complex
-    before their real part is read.
+    the kept blocks, one B a point and kind as the scan reads them; one
+    batch of operands at R + G + 2 B each, the rows, their gather, the
+    spectrum and the weighted blocks, and one B more for ``stagprod``,
+    T1's blocks held while T2 builds; and one batch of pairs (one tile of
+    the grid) at 3 B each, C and its entries, complex before their real
+    part is read.
     """
     period = 2 if any(kind in _STAGGERED_ROWS for kind in kinds) else 1
     size, length = _sectors(sites, period)[1].shape[1:]
@@ -688,9 +664,8 @@ def _scan_bytes(points: list, sites: int, kinds: tuple[str, str]) -> int:
     gather = 8 * sectors * size**2 * length
     block = 16 * sectors * size**2 * (length // 2 + 1)
     n, same = len(points), kinds[1] == kinds[0]
-    merged = not same and all(kind in _SYMMETRIC_KINDS for kind in kinds)
     product = any(len(_STAGGERED_ROWS.get(kind, ())) == 2 for kind in kinds)
-    operands = min(n * (1 + merged), _batch(row // 8))
+    operands = min(n, _batch(row // 8))
     pairs = min(n - 1 if same else n * n, _batch(block // 16))
     kept = n * (1 if same else 2)
     return kept * block + operands * (row + gather + (2 + product) * block) + pairs * 3 * block
@@ -706,11 +681,14 @@ def commutation_scan(
     points[j], all on the same chain.  Equal kinds give an exactly
     symmetric grid (|AB - BA| is |BA - AB|) with a zero diagonal: only
     i < j is computed, so they need at least two points, or the scan
-    would check nothing.  At a symmetric point (``WeightsSym``) the Y
-    matrix is X with its vertical leg flipped, so T2 is T1 conjugated by
-    the global spin flip, which commutes with a symmetric row: stag1 and
-    stag2 are one matrix, and when every point is symmetric, stag2 is
-    read as stag1 and those rules apply.
+    would check nothing.  Symmetric weights (``WeightsSym``) are
+    invariant under arrow reversal, so the global spin flip S commutes
+    with every symmetric row, S T S = T.  The odd row is T_od = S T_ev,
+    so [A, S B] = S [A, B] and max|S T| = max|T|: every odd kind is
+    read as even.  At a symmetric point the Y matrix is X with its
+    vertical leg flipped, so T2 = S T1 S = T1: when every point is
+    symmetric, stag2 is read as stag1.  The rules of equal kinds apply
+    to the kinds as read.
 
     No 2^sites x 2^sites matrix is formed.  Every operand of the scan
     commutes with the cyclic shift P^p of the chain, p = 1 when both
@@ -719,13 +697,12 @@ def commutation_scan(
     the orbit representatives r_a of P^p and becomes its momentum blocks
     A_(s,k), k = 0..L//2 with L = sites / p (``_momentum_blocks``, shared
     with the trace), split by sigma^z parity (even or odd number of up
-    arrows).  No operand swaps the sectors (an odd row at an odd site
-    count is read through the global spin flip S, ``_transfer_of_kind``),
-    so each row is read only at its own sector's orbits.  Staggered kinds
-    need an even site count, so at an odd one every scan is symmetric: S
-    maps sector 0 onto sector 1 and commutes with every operand, and the
-    scan builds and multiplies sector 0 alone; at an even count it keeps
-    both.  A ``stagprod`` operand is the block product (T1)_s (T2)_s.
+    arrows).  Every operand keeps the sectors, so each row is read only
+    at its own sector's orbits.  Staggered kinds need an even site count,
+    so at an odd one every scan is symmetric: S maps sector 0 onto
+    sector 1 and commutes with every operand, and the scan builds and
+    multiplies sector 0 alone; at an even count it keeps both.  A
+    ``stagprod`` operand is the block product (T1)_s (T2)_s.
     The commutator C = AB - BA commutes with P^p too, and its blocks at each k are the
     products A B - B A of the sectors present (``_commutator_norms``).
     Its representative rows C[r_a, P^t r_b] come back from them: divide
@@ -753,8 +730,11 @@ def commutation_scan(
     """
     if not points:
         raise ValueError("commutation scan needs at least one point")
-    if all(isinstance(p, WeightsSym) for p in points):
-        kinds = tuple("stag1" if kind == "stag2" else kind for kind in kinds)
+    symmetric = all(isinstance(p, WeightsSym) for p in points)
+    kinds = tuple(
+        "even" if kind == "odd" else "stag1" if kind == "stag2" and symmetric else kind
+        for kind in kinds
+    )
     if kinds[1] == kinds[0] and len(points) < 2:
         raise ValueError("a scan of equal kinds needs at least two points")
     _check_sites(sites, MAX_SCAN_SITES)
@@ -768,15 +748,8 @@ def commutation_scan(
             f"representative rows and momentum blocks, above the {MAX_SCAN_BYTES}-byte limit"
         )
     n, same = len(points), kinds[1] == kinds[0]
-    if same:
-        a, a_scale = b, b_scale = _transfer_of_kind(points, [kinds[0]] * n, sites, period)
-    elif all(kind in _SYMMETRIC_KINDS for kind in kinds):  # one build for both
-        both, scale = _transfer_of_kind(points * 2, [kinds[0]] * n + [kinds[1]] * n, sites, period)
-        a, b, a_scale, b_scale = both[:n], both[n:], scale[:n], scale[n:]
-    else:
-        (a, a_scale), (b, b_scale) = (
-            _transfer_of_kind(points, [kind] * n, sites, period) for kind in kinds
-        )
+    a, a_scale = _transfer_of_kind(points, kinds[0], sites, period)
+    b, b_scale = (a, a_scale) if same else _transfer_of_kind(points, kinds[1], sites, period)
     out = np.zeros((n, n))
     step = _batch(a[0].size)
     # tiles of the grid, one batched step each: for equal kinds one row's

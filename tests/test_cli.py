@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -199,6 +200,26 @@ class TestCommute:
         assert code == 2
         assert "at least two points" in rep["error"]
 
+    @pytest.mark.parametrize("kinds", ["even,odd", "odd,even", "odd,odd"])
+    def test_one_point_mixed_symmetric_kinds_is_a_guard_error(self, capsys, kinds):
+        # odd is read as even (T_od = S T_ev, and S commutes with a
+        # symmetric row), so the one norm is S [T, T] = 0, the diagonal
+        code, rep = run_cli(capsys, "commute", "--mus", "0.1",
+                            "--sites", "4", "--kinds", kinds)
+        assert code == 2
+        assert "at least two points" in rep["error"]
+
+    def test_mixed_pair_diagonal_is_positive_zero(self, capsys):
+        # a commutator that vanishes exactly prints 0.0, never -0.0
+        argv = ["commute", "--k", "0.348356", "--lam", "0.633078",
+                "--mus", "0.195644,0.528443", "--sites", "5", "--kinds", "even,odd"]
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0 and "-0.0" not in out
+        norms = json.loads(out)["norms"]
+        assert [math.copysign(1.0, norms[i][i]) for i in (0, 1)] == [1.0, 1.0]
+        assert norms[0][0] == norms[1][1] == 0.0
+
     def test_staggered_kind_at_an_odd_length_is_a_guard_error(self, capsys):
         code, rep = run_cli(capsys, "commute", "--mus", "0.1,0.3",
                             "--sites", "5", "--kinds", "even,stag1")
@@ -206,21 +227,25 @@ class TestCommute:
         assert "staggered kinds need an even chain length" in rep["error"]
 
     def test_scan_byte_guard(self, capsys):
-        # nine 14-site points of two kinds: sigma^z sectors of 596 orbits
-        # (the odd one's 586 padded), L = 14 and 8 momenta, eighteen kept
-        # block sets plus one operand's and one pair's working set, 2.2 GiB:
-        # rejected before anything is built.  Two points fit, and so does a
-        # 13-site pair, which the dense count refused
-        mus = ",".join(f"0.{i}" for i in range(1, 10))
+        # seventeen 14-site points, even,odd read as even,even: sigma^z
+        # sectors of 596 orbits (the odd one's 586 padded), L = 14 and 8
+        # momenta, seventeen kept block sets plus one operand's and one
+        # pair's working set, 2,236,382,720 bytes: rejected before anything
+        # is built.  Sixteen points fit, and so do a 13-site and a 14-site
+        # pair, which the dense count refused
+        mus = ",".join(f"{0.05 * i:.2f}" for i in range(1, 18))
         code, rep = run_cli(capsys, "commute", "--sites", "14", "--mus", mus,
                             "--kinds", "even,odd")
         assert code == 2
         row, gather, block = 8 * 1192 * 2**14, 8 * 2 * 596**2 * 14, 16 * 2 * 8 * 596**2
-        assert str(row + gather + 23 * block) in rep["error"]
+        assert row + gather + 22 * block == 2_236_382_720
+        assert str(row + gather + 22 * block) in rep["error"]
         assert "14-site representative rows and momentum blocks" in rep["error"]
-        points = [elliptic.baxter_weights(elliptic.EllipticPoint(0.5, 0.7, mu)) for mu in (0.2, 0.4)]
+        points = [elliptic.baxter_weights(elliptic.EllipticPoint(0.5, 0.7, 0.05 * i))
+                  for i in range(1, 17)]
+        assert transfer._scan_bytes(points, 14, ("even", "even")) <= transfer.MAX_SCAN_BYTES
         for sites in (13, 14):
-            assert transfer._scan_bytes(points, sites, ("even", "odd")) <= transfer.MAX_SCAN_BYTES
+            assert transfer._scan_bytes(points[:2], sites, ("even", "even")) <= transfer.MAX_SCAN_BYTES
 
 
 class TestPartition:
@@ -421,6 +446,22 @@ def test_module_entry_point():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["gamma"] == pytest.approx(0.5347565432466495, abs=1e-12)
+
+
+def test_readme_examples_run():
+    # every example line of the README runs through the CLI: exit 0, or 1
+    # for the line marked as a negative control
+    readme = Path(__file__).parents[1] / "README.md"
+    lines = [line for line in readme.read_text().splitlines()
+             if line.startswith("vertex-sheaf ")]
+    assert len(lines) == 9
+    for line in lines:
+        command, _, comment = line.partition("#")
+        want = 1 if "negative control" in comment else 0
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(shlex.split(command)[1:])
+        assert code == want, line
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 def _outcome(parse, argv):

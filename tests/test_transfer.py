@@ -15,7 +15,7 @@ from vertex_sheaf.transfer import (
     _cell,
     _cell_row,
     _commutator_norms,
-    _flip,
+    _largest_entries,
     _momentum_blocks,
     _row_transfer,
     _scan_bytes,
@@ -270,8 +270,9 @@ class TestRepresentativeRows:
     def test_rows_vanish_outside_the_target_sector(self, sites, family, rng):
         # the sigma^z split of the scans: a representative row at r is
         # exactly 0.0 outside sector parity(r) + f, f the number of its
-        # odd-family vertices mod 2, and nonzero inside it, for uniform
-        # cells of either family and both rows of a staggered cell
+        # odd-family vertices mod 2 (1 for an odd-family row at an odd
+        # length only), and nonzero inside it, for uniform cells of either
+        # family and both rows of a staggered cell
         parity = np.zeros(2**sites, dtype=int)
         parity[linalg._parity_sectors(2**sites)[1]] = 1
         w8 = random_eight(rng, family)
@@ -280,7 +281,7 @@ class TestRepresentativeRows:
             cells.append((_cell(w8, staggered=True), 2, (0, 1)))
         for cell, period, rows in cells:
             reps = _sectors(sites, period)[0]
-            target = parity[reps] ^ _flip(family is OD, sites)
+            target = parity[reps] ^ int(family is OD and sites % 2)
             outside = parity[None, :] != target[:, None]
             for r in rows:
                 row = _cell_row(cell, sites, r, reps)
@@ -342,12 +343,13 @@ class TestSpinFlipSectors:
         lax = (lax_even if kind == "even" else lax_odd)(point)
         row, flipped = self.flipped_rows(lax, sites)
         assert np.array_equal(flipped, row)
-        # the scan's operand is sector 0 of the blocks of those rows, an
-        # odd row read through S, bit for bit, and its scale, read from
-        # sector 0's rows, is the largest entry of all
-        read = row[:, ::-1] if _flip(kind == "odd", sites) else row
+        # the scan reads odd as even, and its operand is sector 0 of the
+        # blocks of those rows, an odd row (f = 1 at an odd length) read
+        # through S, T_od S = S T_ev S = T_ev, bit for bit; its scale, read
+        # from sector 0's rows, is the largest entry of all
+        read = row[:, ::-1] if kind == "odd" and sites % 2 else row
         (blocks,) = _momentum_blocks([read], sites, 1)
-        one, scale = _transfer_of_kind([point], [kind], sites, 1)
+        one, scale = _transfer_of_kind([point], "even", sites, 1)
         assert one.shape == (1, 1, *blocks.shape[2:])
         assert np.array_equal(one[0, 0], blocks[0, 0])
         assert scale[0] == np.abs(row).max()
@@ -361,52 +363,41 @@ class TestSpinFlipSectors:
         row, flipped = self.flipped_rows(lax_asym(random_eight(rng, family)), 5)
         assert np.abs(flipped - row).max() > 1e-3 * np.abs(row).max()
 
-    @pytest.mark.parametrize("kinds,sites,period,sectors", [
-        (["even", "odd"], 4, 1, 2), (["odd"], 6, 1, 2), (["even", "odd"], 7, 1, 1),
-        (["stagprod"], 4, 2, 2), (["stag1"], 6, 2, 2),
+    @pytest.mark.parametrize("kind,sites,period,sectors", [
+        ("even", 4, 1, 2), ("even", 6, 1, 2), ("even", 7, 1, 1),
+        ("stagprod", 4, 2, 2), ("stag1", 6, 2, 2),
     ])
-    def test_only_odd_symmetric_scans_drop_a_sector(self, kinds, sites, period, sectors):
-        points = [elliptic_weights(0.1 * (i + 1)) for i in range(len(kinds))]
-        blocks, _ = _transfer_of_kind(points, kinds, sites, period)
+    def test_only_odd_symmetric_scans_drop_a_sector(self, kind, sites, period, sectors):
+        points = [elliptic_weights(0.1 * (i + 1)) for i in range(2)]
+        blocks, _ = _transfer_of_kind(points, kind, sites, period)
         assert blocks.shape[1] == sectors
 
-    @pytest.mark.parametrize("sites", [1, 3, 5, 7, 9, 11])
+    @pytest.mark.parametrize("sites", [13, 14])
     def test_odd_rows_are_read_through_the_spin_flip(self, sites, rng):
-        # a vertex with its top leg flipped, m (I (x) sigma^x), builds T S:
-        # the plain row at reversed columns, bit for bit, every row exactly
-        # 0.0 outside its own sector, for symmetric and eight-weight odd
-        # vertices alike
-        parity = np.zeros(2**sites, dtype=int)
-        parity[linalg._parity_sectors(2**sites)[1]] = 1
-        reps = _sectors(sites, 1)[0]
-        outside = parity[None, :] != parity[reps][:, None]
-        assert _flip(True, sites)
-        for m in (lax_odd(random_sym(rng)), lax_asym(random_eight(rng, OD))):
-            flipped = m[:, [1, 0, 3, 2]]
-            assert np.array_equal(flipped, m @ np.kron(np.eye(2), SX.real))
-            read = _cell_row((flipped,), sites, 0, reps)
-            assert np.array_equal(read, _cell_row((m,), sites, 0, reps)[:, ::-1])
-            assert np.all(read[outside] == 0.0)
+        # the identity a scan reads odd as even by, at the lengths beyond
+        # MAX_SITES that a scan accepts: at sampled representatives the
+        # odd rows are the even rows at their spin flips (T_od = S T_ev),
+        # and those are the even rows reversed (S T_ev S = T_ev), bit for bit
+        point = random_sym(rng)
+        reps = rng.choice(_shift_orbits(sites, 1)[0][:, 0], size=64, replace=False)
+        odd = _cell_row((lax_odd(point),), sites, 0, reps)
+        even = (lax_even(point),)
+        assert np.array_equal(odd, _cell_row(even, sites, 0, reps ^ (2**sites - 1)))
+        assert np.array_equal(odd, _cell_row(even, sites, 0, reps)[:, ::-1])
 
     @pytest.mark.parametrize("sites", range(1, 12))
     def test_symmetric_manifolds_coincide(self, sites, rng):
         # the even and odd symmetric models share their commuting manifold,
-        # read off the scan: every symmetric kind pair gives the even,even
-        # grid, bit for bit at an odd length (the odd operand there is the
-        # even one, read through the spin flip) and to rounding at an even
-        # one, on the manifold and off it
+        # read off the scan: T_od = S T_ev and S commutes with every
+        # symmetric row, so [A, S B] = S [A, B] and every symmetric kind
+        # pair gives the even,even grid, bit for bit, on the manifold and
+        # off it
         on = [elliptic_weights(mu) for mu in (0.1, 0.25, 0.4)]
         off = [baxter_weights(EllipticPoint(K, lam, 0.3)) for lam in (LAM, 0.45)]
         for points in (on, off + [random_sym(rng)]):
             ref = commutation_scan(points, sites, ("even", "even"))
-            big = ref > 1e-12
             for kinds in (("odd", "odd"), ("even", "odd"), ("odd", "even")):
-                grid = commutation_scan(points, sites, kinds)
-                if sites % 2:
-                    assert np.array_equal(grid, ref)
-                else:
-                    assert np.all(np.abs(grid - ref)[big] <= 1e-13 * ref[big])
-                    assert grid[~big].max() < 1e-12 and ref[~big].max() < 1e-12
+                assert np.array_equal(commutation_scan(points, sites, kinds), ref)
         if sites >= 3:  # off the manifold the grid is not vacuous
             assert ref[0, 1] > 1e-3
 
@@ -905,34 +896,33 @@ class TestCommutationScan:
 
     def test_two_point_twelve_site_scan_fits(self):
         # the shift by one at 12 sites: 180 even and 172 odd orbits, a
-        # sector of M = 180 each, L = 12 and 7 momenta.  Two block sets a
-        # point, float64 rows for one operand at a time, and no dense
-        # matrix, so 144 points fit under the limit and 145 do not
-        # (counted, not run)
-        points = [elliptic_weights(0.001 * (i + 1)) for i in range(145)]
+        # sector of M = 180 each, L = 12 and 7 momenta.  even,odd is read
+        # as even,even: one block set a point, float64 rows for one operand
+        # at a time, and no dense matrix, so 288 points fit under the limit
+        # and 289 do not (counted, not run)
+        points = [elliptic_weights(0.001 * (i + 1)) for i in range(289)]
         row, gather, block = 8 * 360 * 4096, 8 * 2 * 180**2 * 12, 16 * 2 * 7 * 180**2
-        assert _scan_bytes(points[:2], 12, ("even", "odd")) == row + gather + 9 * block
-        assert _scan_bytes(points[:144], 12, ("even", "odd")) == row + gather + 293 * block
-        assert _scan_bytes(points[:144], 12, ("even", "odd")) <= MAX_SCAN_BYTES
-        assert _scan_bytes(points, 12, ("even", "odd")) > MAX_SCAN_BYTES
+        assert _scan_bytes(points[:2], 12, ("even", "even")) == row + gather + 7 * block
+        assert _scan_bytes(points[:288], 12, ("even", "even")) == row + gather + 293 * block
+        assert _scan_bytes(points[:288], 12, ("even", "even")) <= MAX_SCAN_BYTES
+        assert _scan_bytes(points, 12, ("even", "even")) > MAX_SCAN_BYTES
 
     def test_thirteen_site_symmetric_scan_counts_one_sector(self):
         # the shift by one at 13 sites: 316 even orbits, the one sector a
         # symmetric scan keeps at an odd length (M = 316), L = 13 and 7
         # momenta: rows R = 316 x 8192 float64, their gather
         # G = 316^2 x 13 float64, blocks B = 7 x 316^2 complex128, half the
-        # two-sector count, so 92 points of two kinds fit and 93 are
-        # refused before anything is built (44 and 45 with both sectors)
-        points = [elliptic_weights(0.001 * (i + 1)) for i in range(93)]
+        # two-sector count.  even,odd is read as even,even, one kept block
+        # set a point, so 184 points fit and 185 are refused before
+        # anything is built (88 and 89 with both sectors)
+        points = [elliptic_weights(0.001 * (i + 1)) for i in range(185)]
         row, gather, block = 8 * 316 * 2**13, 8 * 316**2 * 13, 16 * 7 * 316**2
-        assert _scan_bytes(points[:2], 13, ("even", "odd")) == row + gather + 9 * block
-        assert _scan_bytes(points[:92], 13, ("even", "odd")) == row + gather + 189 * block
-        assert _scan_bytes(points[:92], 13, ("even", "odd")) <= MAX_SCAN_BYTES
-        assert _scan_bytes(points, 13, ("even", "odd")) > MAX_SCAN_BYTES
+        assert _scan_bytes(points[:2], 13, ("even", "even")) == row + gather + 7 * block
+        assert _scan_bytes(points[:184], 13, ("even", "even")) == row + gather + 189 * block
+        assert _scan_bytes(points[:184], 13, ("even", "even")) <= MAX_SCAN_BYTES
+        assert _scan_bytes(points, 13, ("even", "even")) > MAX_SCAN_BYTES
         with pytest.raises(ValueError, match="above the 2147483648-byte limit"):
             commutation_scan(points, 13, ("even", "odd"))
-        # equal kinds: one kept block set a point
-        assert _scan_bytes(points[:2], 13, ("odd", "odd")) == row + gather + 7 * block
 
     def test_two_point_twelve_site_peak_is_below_one_dense_matrix(self):
         # no 2^12 x 2^12 array is formed: the whole scan peaks below one
@@ -977,15 +967,16 @@ class TestCommutationScan:
     @pytest.mark.parametrize("kind,sites", [
         pytest.param("even", 6, id="even"), pytest.param("odd", 6, id="odd"),
         pytest.param("stagprod", 6, id="stagprod"),
-        # an odd row at an odd length swaps the sigma^z sectors
+        # one sigma^z sector at an odd length
         pytest.param("even", 7, id="even-7"), pytest.param("odd", 7, id="odd-7"),
     ])
     def test_equal_kinds_match_the_full_grid(self, kind, sites):
         # the full n x n grid of the same block statistic, as before the
         # scan mirrored the upper triangle: an exact mirror, a zero diagonal
+        # (the scan reads odd as even)
         points = [elliptic_weights(mu) for mu in (0.1, 0.25, 0.4)]
         period = 2 if kind == "stagprod" else 1
-        blocks, scales = _transfer_of_kind(points, [kind] * 3, sites, period)
+        blocks, scales = _transfer_of_kind(points, "even" if kind == "odd" else kind, sites, period)
         i, j = np.indices((3, 3)).reshape(2, -1)
         full = _commutator_norms(blocks[i], scales[i], blocks[j], scales[j], sites, period)
         full = full.reshape(3, 3)
@@ -1041,12 +1032,10 @@ class TestCommutationScan:
             assert ref[~across].max(initial=0.0) < 1e-13
 
     def test_thirteen_site_scan(self):
-        # beyond MAX_SITES: an on-manifold even, odd pair through the scan's
-        # blocks stays at rounding residue, and two curves do not commute
+        # beyond MAX_SITES: an on-manifold even, odd pair stays at rounding
+        # residue, and two curves do not commute
         on = [elliptic_weights(mu) for mu in (0.2, 0.4)]
-        blocks, scales = _transfer_of_kind(on, ["even", "odd"], 13, 1)
-        norm = _commutator_norms(blocks[:1], scales[:1], blocks[1:], scales[1:], 13, 1)
-        assert norm[0] < 1e-13
+        assert commutation_scan(on, 13, ("even", "odd")).max() < 1e-13
         off = [baxter_weights(EllipticPoint(K, lam, 0.3)) for lam in (LAM, 0.45)]
         assert commutation_scan(off, 13, ("even", "even"))[0, 1] > 1e-3
 
@@ -1091,7 +1080,7 @@ class TestCommutationScan:
         # a negative row's scale is its most negative entry, negated, and
         # an all-zero row's is +0.0
         points = [WeightsSym(-1.0, -0.5, -2.0, -0.3), WeightsSym(0, 0, 0, 0)]
-        _, scales = _transfer_of_kind(points, ["even", "even"], 5, 1)
+        _, scales = _transfer_of_kind(points, "even", 5, 1)
         dense = transfer_matrix(lax_even(points[0]), 5).matrix
         assert dense.min() < 0.0 and scales[0] == np.abs(dense).max()
         assert np.copysign(1.0, scales[1]) == 1.0 and scales[1] == 0.0
@@ -1100,6 +1089,18 @@ class TestCommutationScan:
         points = [WeightsSym(0, 0, 0, 0), elliptic_weights(0.2)]
         norms = commutation_scan(points, 4, ("even", "odd"))
         assert norms[0].tolist() == [0.0, 0.0] and norms[:, 0].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("sites,period", [(5, 1), (6, 1), (6, 2)])
+    def test_all_zero_blocks_have_positive_zero_entries(self, sites, period):
+        # an all-zero commutator's largest entry is +0.0, never -0.0
+        images = _sectors(sites, period)[1]
+        sectors = 2 - sites % 2
+        size, length = images.shape[1:]
+        for zero in (0.0, -0.0):
+            blocks = np.full((3, sectors, length // 2 + 1, size, size), zero, dtype=complex)
+            top = _largest_entries(blocks, sites, period)
+            assert top.tolist() == [0.0] * 3
+            assert np.all(np.copysign(1.0, top) == 1.0)
 
     def test_kind_validation(self, rng):
         with pytest.raises(ValueError, match="unknown transfer kind"):
@@ -1115,4 +1116,7 @@ class TestCommutationScan:
         # the one entry of a one-point equal-kind grid is the unchecked diagonal
         with pytest.raises(ValueError, match="at least two points"):
             commutation_scan([elliptic_weights(0.1)], 4, (kind, kind))
-        assert commutation_scan([elliptic_weights(0.1)], 4, ("even", "odd")).shape == (1, 1)
+        # odd is read as even: one point of two symmetric kinds is S [T, T] = 0
+        for kinds in (("even", "odd"), ("odd", "even"), ("odd", "odd")):
+            with pytest.raises(ValueError, match="at least two points"):
+                commutation_scan([elliptic_weights(0.1)], 4, kinds)
