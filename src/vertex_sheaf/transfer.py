@@ -23,11 +23,14 @@ weight is already exactly zero.  The enumeration never forms a transfer
 matrix.  Agreement between the two validates both; disagreement would
 expose a convention error immediately.
 
-Commutation scans share the trace's momentum blocks
-(``_momentum_blocks``), split further by sigma^z parity: each operand is
-built only at the orbit representatives of the cyclic shift, each row is
-read only at its own sector, and the operand becomes its blocks A_(s,k),
-sector s of momentum k.  Symmetric weights are invariant under arrow
+The trace and the commutation scans share one block layout
+(``_momentum_blocks``): momentum blocks split by sigma^z parity.  Each
+operand is built only at the orbit representatives of the cyclic
+shift, each row is read only at its own sector, and the operand becomes
+its blocks A_(s,k), sector s of momentum k.  Every row the trace
+multiplies keeps the sectors: a uniform odd row on an odd chain, the
+one row that swaps them, is traced through T_O^2 = T_X T_Y
+(``partition_trace``).  Symmetric weights are invariant under arrow
 reversal, so the global spin flip S commutes with every symmetric row,
 and T_od = S T_ev: [A, S B] = S [A, B] and max|S T| = max|T|, so a scan
 reads every odd kind as even, and at an odd length, where every scan is
@@ -54,7 +57,7 @@ import numpy as np
 
 from . import linalg
 from .operators import SIGMA_X, lax_asym, lax_even
-from .weights import WeightsEight, WeightsSym, reparity, staggered_companion, to_eight
+from .weights import Parity, WeightsEight, WeightsSym, reparity, staggered_companion, to_eight
 
 __all__ = [
     "MAX_SITES",
@@ -235,8 +238,12 @@ def staggered_transfer_pair(
     return tuple(TransferMatrix(_cell_row(cell, 2 * pairs, r), 2 * pairs) for r in (0, 1))
 
 
-#: SWAP on the two legs of a vertex: m[_SWAP][:, _SWAP] is S m S
-_SWAP = [0, 2, 1, 3]
+#: a vertex matrix conjugated by the swap of its two legs, as one gather
+#: of its 16 entries: m.take(_SWAP).reshape(4, 4) is m[[0, 2, 1, 3]][:, [0, 2, 1, 3]]
+_SWAP = np.arange(16).reshape(4, 4)[[0, 2, 1, 3]][:, [0, 2, 1, 3]].ravel()
+#: sigma^x on the quantum leg of a vertex: m[:, _FLIP] is m (I x sx) and
+#: m[_FLIP] is (I x sx) m
+_FLIP = [1, 0, 3, 2]
 
 
 @functools.cache
@@ -268,10 +275,10 @@ def _shift_orbits(sites: int, period: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _sectors(sites: int, period: int, split: bool = True) -> tuple:
-    """The orbits of ``_shift_orbits`` in sectors of M orbits each, split
-    by sigma^z parity (two sectors) or not (one): (reps, images, weight,
-    unweight), read-only and cached like the orbits.
+def _sectors(sites: int, period: int) -> tuple:
+    """The orbits of ``_shift_orbits`` in two sectors of M orbits each,
+    split by sigma^z parity: (reps, images, weight, unweight), read-only
+    and cached like the orbits.
 
     The shift keeps the number of up arrows, so an orbit has the parity
     of its states (``linalg._parity_sectors``).  Sector 0 holds the even
@@ -280,19 +287,17 @@ def _sectors(sites: int, period: int, split: bool = True) -> tuple:
     columns of every block.  At an odd site count the spin flip S maps
     the even orbits one to one onto the odd ones, so the sectors are equal
     in size, and S T S = T for every symmetric row T, the only rows a scan
-    there builds: no scan there reads sector 1 (``commutation_scan``).
+    there builds: no scan there reads sector 1 (``commutation_scan``); the
+    trace reads both.
     ``reps`` lists the first images, sector by sector; ``images`` is
-    sectors x M x L; ``weight`` the momentum weights of the real FFT's
-    momenta, sectors x M x (L // 2 + 1); ``unweight`` sqrt(L / d_a),
+    2 x M x L; ``weight`` the momentum weights of the real FFT's
+    momenta, 2 x M x (L // 2 + 1); ``unweight`` sqrt(L / d_a),
     their inverse where nonzero, 0 for a phantom.
     """
     images, weight = _shift_orbits(sites, period)
     weight = weight[: images.shape[1] // 2 + 1].T
-    if split:
-        odd = np.isin(images[:, 0], linalg._parity_sectors(2**sites)[1])
-        parts = [(images[~odd], weight[~odd]), (images[odd], weight[odd])]
-    else:
-        parts = [(images, weight)]
+    odd = np.isin(images[:, 0], linalg._parity_sectors(2**sites)[1])
+    parts = [(images[~odd], weight[~odd]), (images[odd], weight[odd])]
     size = max(len(im) for im, _ in parts)
     images = np.stack([np.pad(im, ((0, size - len(im)), (0, 0)), "edge") for im, _ in parts])
     weight = np.stack([np.pad(w, ((0, size - len(w)), (0, 0))) for _, w in parts])
@@ -304,11 +309,10 @@ def _sectors(sites: int, period: int, split: bool = True) -> tuple:
     return sectors
 
 
-def _momentum_blocks(factors, sites: int, period: int, split: bool = True):
+def _momentum_blocks(factors, sites: int, period: int):
     """Sigma^z-sector momentum blocks B_(s,k), k = 0..L//2 (n x S x k x M x M),
     of real operators F that commute with P^period and keep the sectors,
-    from their rows at the orbit representatives of the first S sectors;
-    one sector of every orbit (n x 1 x k x m x m) when ``split`` is false
+    from their rows at the orbit representatives of the first S sectors
     (``_sectors``).
 
     Yields the blocks of each array of rows drawn from ``factors``: the
@@ -340,7 +344,7 @@ def _momentum_blocks(factors, sites: int, period: int, split: bool = True):
     blocks of a real FFT determine F.  The weights w_a w_b of each
     sector are applied to the spectrum in its own (s, n, a, b, k) layout.
     """
-    _, images, weight, _ = _sectors(sites, period, split)
+    _, images, weight, _ = _sectors(sites, period)
     weight = (weight[:, :, None] * weight[:, None, :])[:, None]
     size, length = images.shape[1:]
     for rows in factors:
@@ -359,24 +363,27 @@ def _momentum_blocks(factors, sites: int, period: int, split: bool = True):
 
 
 def _shift_trace(factors, sites: int, period: int, power: int) -> float:
-    """Tr((F1 F2 ...)^power) for real factors that commute with P^period.
+    """Tr((F1 F2 ...)^power) for real factors that commute with P^period
+    and keep the sigma^z sectors.
 
-    Each factor is given by its rows at the orbit representatives and
-    becomes its momentum blocks over every orbit, not split by sigma^z
-    parity (``_momentum_blocks``, a stack of one in one sector).
-    ``factors`` may be a lazy iterable: each factor is released once it
-    is gathered, before its transform and before the next one is drawn.
+    Each factor is given by its rows at the orbit representatives of both
+    sectors and becomes its sector momentum blocks (``_momentum_blocks``,
+    a stack of one), the layout the commutation scans multiply: the
+    product and its power are formed sector by sector, each block half as
+    wide as one block over every orbit.  ``factors`` may be a lazy
+    iterable: each factor is released once it is gathered, before its
+    transform and before the next one is drawn.
 
-    The trace is the sum over k of the block traces tr_k.  For real
-    factors B_(L-k) = conj(B_k), so tr_(L-k) = conj(tr_k) for every
-    power and product.  Hence
+    The trace is the sum over s and k of the block traces tr_(s,k).  For
+    real factors B_(L-k) = conj(B_k), so tr_(s,L-k) = conj(tr_(s,k)) for
+    every power and product.  Hence, in each sector,
     Tr = tr_0 + 2 Re sum_(0<k<L/2) tr_k (+ tr_(L/2) when L is even),
     with tr_0 and tr_(L/2) real: only the L // 2 + 1 blocks of a real FFT
     are formed and multiplied, in one batched matrix power, and the
     result is exactly real.
     """
     step = None
-    for blocks in _momentum_blocks(factors, sites, period, False):
+    for blocks in _momentum_blocks(factors, sites, period):
         step = blocks if step is None else step @ blocks
     traces = np.linalg.matrix_power(step, power).diagonal(axis1=-2, axis2=-1).sum(axis=-1).real
     traces[..., 1 : (sites // period + 1) // 2] *= 2
@@ -392,13 +399,23 @@ def partition_trace(
     cell rule and p the cell's length.  The row runs along the shorter
     side: a torus with fewer rows than cols is transposed, which swaps
     left with bottom and right with top at every vertex (each vertex
-    matrix conjugated by SWAP) and keeps the cell rule.  The trace is
-    summed over the momentum blocks of the cyclic shift by p sites
-    (``_shift_trace``), so no dense power is formed, and only the rows at
-    the orbit representatives are built: about 2^cols / (cols / p) of
-    the 2^cols rows.  The weights are real, so the row is float64, half
-    the momentum spectrum carries the whole trace, and the result is a
-    float.
+    matrix conjugated by the leg swap, one gather of its entries) and
+    keeps the cell rule.  The trace is summed over the sigma^z-sector
+    momentum blocks of the cyclic shift by p sites (``_shift_trace``), so
+    no dense power is formed, and only the rows at the orbit
+    representatives are built: about 2^cols / (cols / p) of the 2^cols
+    rows.  The weights are real, so the row is float64, half the momentum
+    spectrum carries the whole trace, and the result is a float.
+
+    Every row keeps the sectors but one: a vertex of the odd family has
+    an odd number of incoming arrows, so a uniform odd row T_O on an odd
+    chain swaps them.  By Wu and Kunz's arrow reversal (J. Stat. Phys.
+    116, 67 (2004)) it is an even-pattern row times the global spin flip
+    S: the rows X = m (I x sx) and Y = (I x sx) m of its vertex matrix m
+    give T_X = T_O S and T_Y = S T_O bit for bit, and both keep the
+    sectors.  An odd power of T_O swaps them too and has trace exactly 0,
+    returned before anything is built; an even one is traced as
+    (T_X T_Y)^(rows / 2) = T_O^rows.
     """
     rows, cols = lattice.rows, lattice.cols
     if staggered and (rows % 2 or cols % 2):
@@ -406,12 +423,18 @@ def partition_trace(
     cell = _cell(w8, staggered)
     if rows < cols:
         rows, cols = cols, rows
-        cell = tuple(m[_SWAP][:, _SWAP] for m in cell)
+        cell = tuple(m.take(_SWAP).reshape(4, 4) for m in cell)
     _check_sites(cols)
-    period = len(cell)
-    reps = _sectors(cols, period, False)[0]
-    factors = (_cell_row(cell, cols, r, reps) for r in range(period))
-    return _shift_trace(factors, cols, period, rows // period)
+    period, power = len(cell), rows // len(cell)
+    row_cells = [(cell, r) for r in range(period)]
+    if w8.parity is Parity.ODD and cols % 2:
+        if rows % 2:
+            return 0.0
+        (m,) = cell
+        row_cells, power = [((m[:, _FLIP],), 0), ((m[_FLIP],), 0)], rows // 2
+    reps = _sectors(cols, period)[0]
+    factors = (_cell_row(c, cols, r, reps) for c, r in row_cells)
+    return _shift_trace(factors, cols, period, power)
 
 
 def partition_enumerate(

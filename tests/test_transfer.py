@@ -47,6 +47,9 @@ EV, OD = Parity.EVEN, Parity.ODD
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 #: SWAP on the two legs of a vertex: m[SWAP][:, SWAP] is S m S
 SWAP = [0, 2, 1, 3]
+#: sigma^x on the quantum leg of a vertex: m[:, FLIP] is m (I x sx) and
+#: m[FLIP] is (I x sx) m
+FLIP = [1, 0, 3, 2]
 
 
 def elliptic_weights(mu: float) -> WeightsSym:
@@ -295,7 +298,7 @@ class TestRepresentativeRows:
         # phantoms (weight 0 at every k, unweight 0) pad the smaller
         # sector, and at an odd length there are none: the spin flip maps
         # the even orbits one to one onto the odd ones, with equal weights
-        images, weight = _shift_orbits(sites, period)
+        images = _shift_orbits(sites, period)[0]
         reps, sector_images, sector_weight, unweight = _sectors(sites, period)
         parity = np.zeros(2**sites, dtype=int)
         parity[linalg._parity_sectors(2**sites)[1]] = 1
@@ -317,9 +320,6 @@ class TestRepresentativeRows:
             flips = {frozenset(row): w for row, w in
                      zip((sector_images[0] ^ (2**sites - 1)).tolist(), sector_weight[0].tolist())}
             assert flips == odd
-        whole = _sectors(sites, period, False)
-        assert np.array_equal(whole[1][0], images) and np.array_equal(whole[0], images[:, 0])
-        assert np.array_equal(whole[2][0], weight[: images.shape[1] // 2 + 1].T)
 
 
 class TestSpinFlipSectors:
@@ -582,6 +582,54 @@ class TestSectorBlockedCommutator:
         assert blocked < 0.8 * dense
 
 
+class TestOddRowRule:
+    """A uniform odd row T_O on an odd chain swaps the sigma^z sectors.
+    The rows X and Y of m (I x sx) and (I x sx) m, m its vertex matrix,
+    are T_O S and S T_O bit for bit (S the global spin flip) and keep the
+    sectors: the trace reads an even power of T_O as (T_X T_Y)^(rows/2)."""
+
+    @staticmethod
+    def orientations(rng):
+        # the odd vertex matrix as given and transposed (leg swap)
+        m = lax_asym(random_eight(rng, OD))
+        return m, m[SWAP][:, SWAP]
+
+    @pytest.mark.parametrize("sites", range(1, 13))
+    def test_flipped_legs_give_the_row_through_the_spin_flip(self, sites, rng):
+        for m in self.orientations(rng):
+            row = _cell_row((m,), sites)
+            assert np.array_equal(_cell_row((m[:, FLIP],), sites), row[:, ::-1])
+            assert np.array_equal(_cell_row((m[FLIP],), sites), row[::-1])
+
+    @pytest.mark.parametrize("sites", [13, 14])
+    def test_flipped_legs_at_sampled_representatives(self, sites, rng):
+        # the same identity beyond MAX_SITES, at rows a scan may build:
+        # T_X reads T_O's rows at reversed columns, T_Y reads its flipped rows
+        reps = rng.choice(_shift_orbits(sites, 1)[0][:, 0], size=64, replace=False)
+        for m in self.orientations(rng):
+            row = _cell_row((m,), sites, 0, reps)
+            assert np.array_equal(_cell_row((m[:, FLIP],), sites, 0, reps), row[:, ::-1])
+            flipped = _cell_row((m,), sites, 0, reps ^ (2**sites - 1))
+            assert np.array_equal(_cell_row((m[FLIP],), sites, 0, reps), flipped)
+
+    @pytest.mark.parametrize("rows,cols", [(1, 2), (2, 1), (1, 4), (3, 4), (4, 3), (1, 8)])
+    def test_even_powers_match_enumeration(self, rows, cols, rng):
+        # the shorter side odd and the longer even: an even power of T_O
+        lattice = LatticeSpec(rows, cols)
+        for _ in range(5):
+            w8 = random_eight(rng, OD)
+            ze = partition_enumerate(w8, lattice)
+            assert abs(partition_trace(w8, lattice) - ze) < 1e-12 * abs(ze)
+
+    def test_odd_powers_build_nothing(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an odd power of T_O built a row")
+
+        monkeypatch.setattr(transfer, "_row_transfer", refuse)
+        assert partition_trace(random_eight(rng, OD), LatticeSpec(5, 11)) == 0.0
+        assert partition_trace(random_eight(rng, OD), LatticeSpec(11, 5)) == 0.0
+
+
 class TestPartitionFunctions:
     def test_odd_single_site_torus_vanishes(self, rng):
         ws = reparity(to_eight(random_sym(rng)), OD)
@@ -783,6 +831,28 @@ class TestPartitionFunctions:
             tracemalloc.stop()
         assert peak <= 96 * 2**20
 
+    def test_uniform_trace_multiplies_sector_blocks(self, rng):
+        # the sigma^z-sector blocks of a 20 x 12 torus are half as wide as
+        # one block over every orbit; together with the rows they built
+        # 52.9 MiB unsplit and 27.7 MiB split
+        tracemalloc.start()
+        try:
+            partition_trace(random_eight(rng, EV), LatticeSpec(20, 12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20
+
+    def test_staggered_trace_multiplies_sector_blocks(self, rng):
+        # a 12 x 12 staggered torus: 149.5 MiB unsplit, 77.4 MiB split
+        tracemalloc.start()
+        try:
+            partition_trace(random_eight(rng, OD), LatticeSpec(12, 12), staggered=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 2**20
+
     def test_enumeration_guard(self, rng):
         with pytest.raises(ValueError, match="enumeration"):
             partition_enumerate(random_eight(rng, EV), LatticeSpec(4, 5))
@@ -823,6 +893,13 @@ class TestWuKunz:
         w8 = random_eight(rng, parity)
         rep = wu_kunz_check(w8, LatticeSpec(*shape), backend="trace")
         assert rep["rel_diff"] < 1e-11
+
+    @pytest.mark.parametrize("parity", [OD, EV])
+    def test_trace_backend_twelve_by_twelve(self, parity, rng):
+        # both sides at the largest chain the trace accepts, the staggered
+        # side on period-2 sector blocks
+        rep = wu_kunz_check(random_eight(rng, parity), LatticeSpec(12, 12), backend="trace")
+        assert rep["rel_diff"] < 1e-10
 
     def test_report_serialization(self, rng):
         rep = wu_kunz_check(random_eight(rng, OD), LatticeSpec(2, 2))
