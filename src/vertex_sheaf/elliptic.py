@@ -41,9 +41,9 @@ SERIES_CAP = 10_000
 class GuardError(ValueError):
     """An argument or result outside the region where it is valid.
 
-    Raised for non-finite elliptic points and theta arguments outside
-    the convergence strip; the CLI also raises it for a report holding
-    a non-finite number.
+    Raised for non-finite elliptic points, theta arguments outside the
+    convergence strip and a theta product that does not converge; the
+    CLI reports it, like any ValueError, as a guard error (exit 2).
     """
 
 

@@ -23,11 +23,12 @@ weight is already exactly zero.  The enumeration never forms a transfer
 matrix.  Agreement between the two validates both; disagreement would
 expose a convention error immediately.
 
-The trace and the commutation scans share one block layout
+The trace and the commutation scans share one block product
 (``_momentum_blocks``): momentum blocks split by sigma^z parity.  Each
 operand is built only at the orbit representatives of the cyclic
 shift, each row is read only at its own sector, and the operand becomes
-its blocks A_(s,k), sector s of momentum k.  Every row the trace
+its blocks A_(s,k), sector s of momentum k, the product of its rows'
+blocks; no row array outlives its gather.  Every row the trace
 multiplies keeps the sectors: a uniform odd row on an odd chain, the
 one row that swaps them, is traced through T_O^2 = T_X T_Y
 (``partition_trace``).  Symmetric weights are invariant under arrow
@@ -309,21 +310,22 @@ def _sectors(sites: int, period: int) -> tuple:
     return sectors
 
 
-def _momentum_blocks(factors, sites: int, period: int):
+def _momentum_blocks(factors, sites: int, period: int) -> np.ndarray:
     """Sigma^z-sector momentum blocks B_(s,k), k = 0..L//2 (n x S x k x M x M),
-    of real operators F that commute with P^period and keep the sectors,
-    from their rows at the orbit representatives of the first S sectors
-    (``_sectors``).
+    of the product F1 F2 ... of real operators that commute with P^period
+    and keep the sectors, from their rows at the orbit representatives of
+    the first S sectors (``_sectors``).
 
-    Yields the blocks of each array of rows drawn from ``factors``: the
+    Each array of rows drawn from ``factors`` (a lazy iterable) holds the
     rows (n x SM x 2^sites, or SM x 2^sites for one operator) of a stack
     of operators at the first SM representatives ``_sectors`` lists, in
     its order (``_row_transfer`` restricted to them).  S, the number of
     sectors, is read from the rows.  A row of sector s is read only at
     the images of that sector's orbits, the rest of it being exact zeros,
-    so no other row is read and no dense F is ever formed; the generator
-    drops its hold on each array of rows as soon as it is gathered.  The
-    blocks of each operator are those it would have alone.
+    so no other row is read and no dense F is ever formed.  Each array of
+    rows is released once it is gathered, and its blocks once they are
+    multiplied, so only the running product is held while the next array
+    is drawn.  The blocks of each operator are those it would have alone.
 
     P is the cyclic shift of the chain, P^L = 1 with L = sites / period.
     With r_a the representative and d_a the size of orbit a, the states
@@ -341,12 +343,14 @@ def _momentum_blocks(factors, sites: int, period: int):
     orbits) become zero rows and columns that no product, power or trace
     sees.  A real F has B_(L-k) = conj(B_k), the FFT of a real sequence
     at -k, and the weights at L - k equal those at k, so the L // 2 + 1
-    blocks of a real FFT determine F.  The weights w_a w_b of each
-    sector are applied to the spectrum in its own (s, n, a, b, k) layout.
+    blocks of a real FFT determine F, and those of a product are the
+    products of its factors' blocks.  The weights w_a w_b of each sector
+    are applied to the spectrum in its own (s, n, a, b, k) layout.
     """
     _, images, weight, _ = _sectors(sites, period)
     weight = (weight[:, :, None] * weight[:, None, :])[:, None]
     size, length = images.shape[1:]
+    product = None
     for rows in factors:
         sectors = rows.shape[-2] // size
         rows = rows.reshape(-1, sectors, size, rows.shape[-1])
@@ -359,35 +363,11 @@ def _momentum_blocks(factors, sites: int, period: int):
         spectrum = np.fft.rfft(gathered, axis=-1)  # (s, n, a, b, k)
         del gathered
         spectrum *= weight[:sectors]
-        yield spectrum.transpose(1, 0, 4, 2, 3)
-
-
-def _shift_trace(factors, sites: int, period: int, power: int) -> float:
-    """Tr((F1 F2 ...)^power) for real factors that commute with P^period
-    and keep the sigma^z sectors.
-
-    Each factor is given by its rows at the orbit representatives of both
-    sectors and becomes its sector momentum blocks (``_momentum_blocks``,
-    a stack of one), the layout the commutation scans multiply: the
-    product and its power are formed sector by sector, each block half as
-    wide as one block over every orbit.  ``factors`` may be a lazy
-    iterable: each factor is released once it is gathered, before its
-    transform and before the next one is drawn.
-
-    The trace is the sum over s and k of the block traces tr_(s,k).  For
-    real factors B_(L-k) = conj(B_k), so tr_(s,L-k) = conj(tr_(s,k)) for
-    every power and product.  Hence, in each sector,
-    Tr = tr_0 + 2 Re sum_(0<k<L/2) tr_k (+ tr_(L/2) when L is even),
-    with tr_0 and tr_(L/2) real: only the L // 2 + 1 blocks of a real FFT
-    are formed and multiplied, in one batched matrix power, and the
-    result is exactly real.
-    """
-    step = None
-    for blocks in _momentum_blocks(factors, sites, period):
-        step = blocks if step is None else step @ blocks
-    traces = np.linalg.matrix_power(step, power).diagonal(axis1=-2, axis2=-1).sum(axis=-1).real
-    traces[..., 1 : (sites // period + 1) // 2] *= 2
-    return float(traces.sum())
+        blocks = spectrum.transpose(1, 0, 4, 2, 3)
+        del spectrum
+        product = blocks if product is None else product @ blocks
+        del blocks
+    return product
 
 
 def partition_trace(
@@ -401,11 +381,17 @@ def partition_trace(
     left with bottom and right with top at every vertex (each vertex
     matrix conjugated by the leg swap, one gather of its entries) and
     keeps the cell rule.  The trace is summed over the sigma^z-sector
-    momentum blocks of the cyclic shift by p sites (``_shift_trace``), so
-    no dense power is formed, and only the rows at the orbit
-    representatives are built: about 2^cols / (cols / p) of the 2^cols
-    rows.  The weights are real, so the row is float64, half the momentum
-    spectrum carries the whole trace, and the result is a float.
+    momentum blocks of the cyclic shift by p sites, the product of the
+    rows' blocks (``_momentum_blocks``, the scans' layout) raised to its
+    power in one batched matrix power, so no dense power is formed, and
+    only the rows at the orbit representatives of both sectors are built:
+    about 2^cols / (cols / p) of the 2^cols rows.  The weights are real,
+    so the rows are float64.  The trace is the sum over s and k of the
+    block traces tr_(s,k), and for real rows B_(L-k) = conj(B_k), so
+    tr_(s,L-k) = conj(tr_(s,k)) for every power and product.  Hence, in
+    each sector, Tr = tr_0 + 2 Re sum_(0<k<L/2) tr_k (+ tr_(L/2) when L
+    is even), with tr_0 and tr_(L/2) real: the L // 2 + 1 blocks of a
+    real FFT carry the whole trace, and the result is exactly real.
 
     Every row keeps the sectors but one: a vertex of the odd family has
     an odd number of incoming arrows, so a uniform odd row T_O on an odd
@@ -433,8 +419,10 @@ def partition_trace(
         (m,) = cell
         row_cells, power = [((m[:, _FLIP],), 0), ((m[_FLIP],), 0)], rows // 2
     reps = _sectors(cols, period)[0]
-    factors = (_cell_row(c, cols, r, reps) for c, r in row_cells)
-    return _shift_trace(factors, cols, period, power)
+    step = _momentum_blocks((_cell_row(c, cols, r, reps) for c, r in row_cells), cols, period)
+    traces = np.linalg.matrix_power(step, power).diagonal(axis1=-2, axis2=-1).sum(axis=-1).real
+    traces[..., 1 : (cols // period + 1) // 2] *= 2
+    return float(traces.sum())
 
 
 def partition_enumerate(
@@ -539,6 +527,15 @@ def _batch(entries: int) -> int:
     return max(1, _SCAN_BATCH // entries)
 
 
+def _scaled(rows: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """``rows`` of a stack of operators, their largest entries put in ``scales``."""
+    # nan and inf propagate to the maximum
+    scales[...] = linalg.real_abs_max(rows.reshape(len(rows), -1), axis=1)
+    if not np.isfinite(scales).all():
+        raise ValueError("transfer rows contain non-finite entries")
+    return rows
+
+
 def _transfer_of_kind(points: list, kind: str, sites: int, period: int):
     """The ``kind`` transfer operators at points (``even`` at symmetric
     points, or a staggered kind) as their sigma^z-sector momentum blocks
@@ -553,10 +550,11 @@ def _transfer_of_kind(points: list, kind: str, sites: int, period: int):
     largest entry of sector 0's rows, which is the largest of all:
     symmetric weights are invariant under arrow reversal, so S T S = T
     for the global spin flip S, and the rows at the flipped
-    representatives hold the same entries.  A ``stagprod`` operator is
-    the block product (T1)_s (T2)_s, and its largest entry is read from
-    the representative rows that its blocks give back.  A non-finite row
-    is refused before it becomes a block.
+    representatives hold the same entries.  Each row's scale is recorded,
+    and a non-finite row refused, as ``_momentum_blocks`` draws it, before
+    it becomes a block.  A ``stagprod`` operator is the block product
+    (T1)_s (T2)_s, and its largest entry is read from the representative
+    rows that its blocks give back.
     """
     if kind == "even":
         if not all(isinstance(p, WeightsSym) for p in points):
@@ -577,19 +575,11 @@ def _transfer_of_kind(points: list, kind: str, sites: int, period: int):
         part = slice(lo, lo + step)
         # the batch's cell: a stack of vertex matrices on each sublattice
         cell = tuple(np.array(stack) for stack in zip(*cells[part]))
-        product = None
-        for r in rows:
-            row = _cell_row(cell, sites, r, reps)
-            # nan and inf propagate to the maximum
-            scales[part] = linalg.real_abs_max(row.reshape(len(row), -1), axis=1)
-            if not np.isfinite(scales[part]).all():
-                raise ValueError("transfer rows contain non-finite entries")
-            (factor,) = _momentum_blocks([row], sites, period)
-            del row  # released before the next row builds
-            product = factor if product is None else product @ factor
-        blocks[part] = product
+        drawn = (_scaled(_cell_row(cell, sites, r, reps), scales[part]) for r in rows)
+        blocks[part] = product = _momentum_blocks(drawn, sites, period)
         if len(rows) > 1:  # the kept copy is made: product may be rescaled
             scales[part] = _largest_entries(product, sites, period)
+        del product  # released before the next batch builds
     return blocks, scales
 
 
@@ -647,14 +637,11 @@ def _commutator_norms(a, a_scale, b, b_scale, sites: int, period: int) -> np.nda
     sectors present.  With one sector (an odd length, every operand
     symmetric) the spin flip S maps sector 0 onto sector 1, and
     S C S = C since S commutes with every symmetric row, so sector 0
-    holds every entry of C.
-    Against unsplit momentum blocks that is a quarter of the arithmetic
-    with two sectors and an eighth with one.
-    The two products are formed alike in either order and for any stack,
-    so swapping the operands negates C exactly, an operand against itself
-    gives exactly 0, and a norm is the one its pair gives alone.  A
-    non-finite commutator or scale is refused: it never becomes a norm.
-    An all-zero operand gives 0.
+    holds every entry of C.  The two products are formed alike in either
+    order and for any stack, so swapping the operands negates C exactly,
+    an operand against itself gives exactly 0, and a norm is the one its
+    pair gives alone.  A non-finite commutator or scale is refused: it
+    never becomes a norm.  An all-zero operand gives 0.
     """
     c = a @ b
     c -= b @ a
@@ -738,10 +725,9 @@ def commutation_scan(
     representative rows as built, and a ``stagprod`` scale from the rows
     its blocks give back.  With about 2^sites / L orbits, M of them a
     sector, a pair costs 2 S (L // 2 + 1) complex products of M x M
-    blocks for S sectors, a quarter of the arithmetic of unsplit momentum
-    blocks with two sectors and an eighth with one, and about 1 / (2 L)
-    (two sectors) of the real arithmetic of the two products
-    (2^sites / L) x 2^sites x 2^sites of dense representative rows.
+    blocks for S sectors, about 1 / (2 L) (two sectors) of the real
+    arithmetic of the two products (2^sites / L) x 2^sites x 2^sites of
+    dense representative rows.
     Operands are built, and pairs multiplied, in stacked batches while
     they are small (``_SCAN_BATCH``; for unequal kinds whole rows of the
     grid at once), so that a short chain's scan makes few numpy calls.

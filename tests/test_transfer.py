@@ -348,7 +348,7 @@ class TestSpinFlipSectors:
         # through S, T_od S = S T_ev S = T_ev, bit for bit; its scale, read
         # from sector 0's rows, is the largest entry of all
         read = row[:, ::-1] if kind == "odd" and sites % 2 else row
-        (blocks,) = _momentum_blocks([read], sites, 1)
+        blocks = _momentum_blocks([read], sites, 1)
         one, scale = _transfer_of_kind([point], "even", sites, 1)
         assert one.shape == (1, 1, *blocks.shape[2:])
         assert np.array_equal(one[0, 0], blocks[0, 0])
@@ -628,6 +628,57 @@ class TestOddRowRule:
         monkeypatch.setattr(transfer, "_row_transfer", refuse)
         assert partition_trace(random_eight(rng, OD), LatticeSpec(5, 11)) == 0.0
         assert partition_trace(random_eight(rng, OD), LatticeSpec(11, 5)) == 0.0
+
+
+class TestOneBlockProduct:
+    """``_momentum_blocks`` multiplies the rows it transforms: the blocks of
+    a product are the product of its factors' blocks, bit for bit, and the
+    trace raises the scans' operand to its power."""
+
+    @staticmethod
+    def half_spectrum_trace(blocks, power, length):
+        # Tr = tr_0 + 2 Re sum_(0<k<L/2) tr_k (+ tr_(L/2)) in each sector
+        traces = np.linalg.matrix_power(blocks, power).diagonal(axis1=-2, axis2=-1)
+        traces = traces.sum(axis=-1).real
+        traces[..., 1 : (length + 1) // 2] *= 2
+        return float(traces.sum())
+
+    @pytest.mark.parametrize("sites,period,parity", [
+        (4, 1, EV), (5, 1, EV), (4, 1, OD), (6, 2, EV), (6, 2, OD), (8, 2, OD),
+    ])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_blocks_of_a_product_are_the_product_of_blocks(
+        self, sites, period, parity, stacked, rng
+    ):
+        # period 1: the rows of two uniform cells; period 2: rows 0 and 1
+        # of one staggered cell.  Stacked: three operands in one array
+        cells = [[_cell(random_eight(rng, parity), period == 2) for _ in range(3)] for _ in "ab"]
+        if period == 2:
+            cells[1] = cells[0]
+        cells = [tuple(np.array(s) for s in zip(*c)) if stacked else c[0] for c in cells]
+        reps = _sectors(sites, period)[0]
+        r1, r2 = (_cell_row(c, sites, r, reps) for r, c in enumerate(cells))
+        product = _momentum_blocks([r1, r2], sites, period)
+        one, two = _momentum_blocks([r1], sites, period), _momentum_blocks([r2], sites, period)
+        assert product.shape == ((3,) if stacked else (1,)) + one.shape[1:]
+        assert np.array_equal(product, one @ two)
+
+    @pytest.mark.parametrize("cols", [2, 4, 6, 8])
+    @pytest.mark.parametrize("parity", [EV, OD])
+    def test_staggered_trace_powers_the_stagprod_operand(self, cols, parity, rng):
+        w8 = random_eight(rng, parity)
+        operand = _transfer_of_kind([w8], "stagprod", cols, 2)[0]
+        for rows in range(cols, 11, 2):
+            z = partition_trace(w8, LatticeSpec(rows, cols), staggered=True)
+            assert z == self.half_spectrum_trace(operand, rows // 2, cols // 2)
+
+    @pytest.mark.parametrize("cols", [2, 4, 6, 8])
+    def test_uniform_trace_powers_the_even_operand(self, cols, rng):
+        ws = random_sym(rng)
+        operand = _transfer_of_kind([ws], "even", cols, 1)[0]
+        for rows in range(cols, 11):
+            z = partition_trace(to_eight(ws), LatticeSpec(rows, cols))
+            assert z == self.half_spectrum_trace(operand, rows, cols)
 
 
 class TestPartitionFunctions:
@@ -1013,6 +1064,19 @@ class TestCommutationScan:
             tracemalloc.stop()
         assert peak < 8 * 4**12
         assert norms.max() < 1e-13
+
+    def test_thirteen_site_scan_releases_each_row(self):
+        # each row array is released once gathered: 74.4 MiB; rows held
+        # through their transform (a list of rows in place of the lazy
+        # draw) read 83 MiB
+        points = [elliptic_weights(mu) for mu in (0.2, 0.4)]
+        tracemalloc.start()
+        try:
+            commutation_scan(points, 13, ("even", "odd"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 78 * 2**20
 
     def test_complex_weights_rejected(self):
         # weights are real: a complex point is refused where it is made,
