@@ -17,11 +17,12 @@ legs, and sums the trace of the row power over the momentum blocks of
 the cyclic shift, building only the rows at the shift's orbit
 representatives and only half of the momenta (the other half are their
 complex conjugates); and an exhaustive enumeration backend that sums
-the weight of every arrow configuration on a small torus, assigning
-edges vertex by vertex and dropping every partial configuration whose
-weight is already exactly zero.  The enumeration never forms a transfer
-matrix.  Agreement between the two validates both; disagreement would
-expose a convention error immediately.
+the weight of every arrow configuration on a small torus the vertex
+rule allows, read once per torus shape and vertex family as each
+vertex's 4-bit code (``_allowed_codes``, cached), so that a call only
+gathers, multiplies and sums the weights.  The enumeration never forms
+a transfer matrix.  Agreement between the two validates both;
+disagreement would expose a convention error immediately.
 
 The trace and the commutation scans share one block product
 (``_momentum_blocks``): momentum blocks split by sigma^z parity.  Each
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .operators import SIGMA_X, lax_asym, lax_even
+from .operators import SIGMA_X, lax_asym, lax_even, vertex_matrix
 from .weights import Parity, WeightsEight, WeightsSym, reparity, staggered_companion, to_eight
 
 __all__ = [
@@ -82,8 +83,9 @@ __all__ = [
 #: and its build peaks at about twice that; the trace backend builds about
 #: 2^12 / 12 representative rows of it, not the matrix
 MAX_SITES = 12
-#: enumeration guard: 2 * rows * cols edges, about 2^(edges/2 + 2) live
-#: partial configurations (13 MiB at 32 edges)
+#: enumeration guard: 2 * rows * cols edges; the cached table of allowed
+#: configurations is 2 MiB at 32 edges, and its cold build peaks at about
+#: 2^(edges/2 + 2) live partial configurations (11 MiB)
 MAX_ENUM_EDGES = 32
 #: chain guard of a commutation scan, which builds no dense matrix: at 14
 #: sites an operand's representative rows are 148 MiB of float64
@@ -425,36 +427,23 @@ def partition_trace(
     return float(traces.sum())
 
 
-def partition_enumerate(
-    w8: WeightsEight, lattice: LatticeSpec, staggered: bool = False
-) -> float:
-    """Torus partition function by exhaustive sum over arrow configurations.
+@functools.cache
+def _allowed_codes(rows: int, cols: int, family: str) -> np.ndarray:
+    """Every edge configuration of the rows x cols torus that the vertex
+    rule of ``family`` allows, as its vertex codes 2*(2*left + bottom) +
+    2*right + top (vertices x configurations, uint8; read-only, cached
+    like the orbits: it depends on the shape and family, not the weights).
 
-    Sums the product of vertex weights, each read by the cell rule, over
-    all 2^(2 rows cols) edge states, built up vertex by vertex in
-    row-major order: each vertex first doubles the partial configurations
-    once for every one of its four edges not yet assigned, then multiplies
-    in its weight and keeps only the nonzero partial products.  Dropping a
-    prefix is exact: the weights are finite, so every completion of a
-    partial product that is exactly 0 is exactly 0 too, and the survivors
-    are the plain sum's products formed in the same order.  The structural
-    zeros of the vertex dictionary make each vertex of either family
-    nonzero for one parity of its four edges only, so at most half of what
-    a vertex doubles survives: the live set peaks at 2^(rows cols + 2)
-    partial configurations (2^18 at 32 edges), not 2^(2 rows cols).  An
-    odd model on an odd-by-odd torus keeps none and returns exactly 0.
-    Independent of the trace backend: no transfer matrix is formed.
+    Edges are assigned vertex by vertex: each vertex doubles the partial
+    configurations once for every one of its four edges not yet
+    assigned, keeps those its family's 0/1 pattern (``operators.SLOTS``)
+    allows, and records each survivor's code in 4 bits of one uint64 (at
+    most 16 vertices).  The pattern allows one parity of a vertex's four
+    edges, so the rows cols constraints fix all but rows cols + 1 edges.
     """
-    rows, cols = lattice.rows, lattice.cols
-    edges = 2 * rows * cols
-    if edges > MAX_ENUM_EDGES:
-        raise ValueError(f"enumeration limited to {MAX_ENUM_EDGES} edges, got {edges}")
-    if staggered and (rows % 2 or cols % 2):
-        raise ValueError("staggered tori need even rows and cols")
-    luts = [m4.reshape(16) for m4 in _cell(w8, staggered)]
-
+    allowed = vertex_matrix(family, np.ones(8)).reshape(16) != 0
     conf = np.zeros(1, dtype=np.int64)
-    prod = np.ones(1)
+    packed = np.zeros(1, dtype=np.uint64)
     assigned = 0
     for v in range(rows * cols):
         r, c = divmod(v, cols)
@@ -465,17 +454,57 @@ def partition_enumerate(
             if not assigned >> bit & 1:
                 assigned |= 1 << bit
                 conf = np.concatenate((conf, conf | (1 << bit)))
-                prod = np.concatenate((prod, prod))
+                packed = np.concatenate((packed, packed))
         code = (
             ((conf >> left) & 1) * 8
             + ((conf >> bottom) & 1) * 4
             + ((conf >> right) & 1) * 2
             + ((conf >> top) & 1)
         )
-        prod *= luts[(r + c) % len(luts)][code]
-        keep = np.flatnonzero(prod)
-        conf, prod = conf[keep], prod[keep]
-    return float(prod.sum())
+        keep = np.flatnonzero(allowed[code])
+        conf = conf[keep]
+        packed = packed[keep] | code[keep].astype(np.uint64) << np.uint64(4 * v)
+    codes = np.empty((rows * cols, len(packed)), dtype=np.uint8)
+    for v in range(rows * cols):
+        codes[v] = packed >> np.uint64(4 * v) & np.uint64(15)
+    codes.flags.writeable = False
+    return codes
+
+
+def partition_enumerate(
+    w8: WeightsEight, lattice: LatticeSpec, staggered: bool = False
+) -> float:
+    """Torus partition function by exhaustive sum over arrow configurations.
+
+    Sums the product of vertex weights, each read by the cell rule, over
+    the configurations the vertex rule allows, the only ones of the
+    2^(2 rows cols) edge states whose product can be nonzero: a table
+    (``_allowed_codes``) built once per (rows, cols, family) and shared
+    by both cells of a staggered torus, whose companion keeps the family.
+    It holds 2^(rows cols + 1) configurations, 2 MiB of codes at 32
+    edges, and none for an odd model on an odd-by-odd torus, which
+    returns exactly 0.  A call gathers each vertex's weight from its cell
+    matrix through the codes, multiplies in row-major vertex order, drops
+    exact zeros and sums the rest.  That is bit for bit the sum that
+    prunes by value while assigning the edges in the table's order: its
+    survivors are the allowed configurations in the same order less
+    those with a zero product, each product is formed in the same order,
+    and a partial product that is exactly 0 stays 0 under finite weights.
+    Independent of the trace backend: no transfer matrix is formed.
+    """
+    rows, cols = lattice.rows, lattice.cols
+    edges = 2 * rows * cols
+    if edges > MAX_ENUM_EDGES:
+        raise ValueError(f"enumeration limited to {MAX_ENUM_EDGES} edges, got {edges}")
+    if staggered and (rows % 2 or cols % 2):
+        raise ValueError("staggered tori need even rows and cols")
+    luts = [m4.reshape(16) for m4 in _cell(w8, staggered)]
+    codes = _allowed_codes(rows, cols, w8.parity.value)
+    prod = luts[0].take(codes[0])
+    for v in range(1, rows * cols):
+        r, c = divmod(v, cols)
+        prod *= luts[(r + c) % len(luts)].take(codes[v])
+    return float(prod[prod != 0].sum())
 
 
 #: the partition backends by name, in the order ``partition --backend both``

@@ -6,12 +6,13 @@ import pytest
 
 from vertex_sheaf import linalg, transfer
 from vertex_sheaf.elliptic import EllipticPoint, baxter_weights
-from vertex_sheaf.operators import SLOTS, lax_asym, lax_even, lax_odd
+from vertex_sheaf.operators import SLOTS, lax_asym, lax_even, lax_odd, vertex_matrix
 from vertex_sheaf.transfer import (
     MAX_SCAN_BYTES,
     MAX_SCAN_SITES,
     MAX_SITES,
     LatticeSpec,
+    _allowed_codes,
     _cell,
     _cell_row,
     _commutator_norms,
@@ -815,24 +816,51 @@ class TestPartitionFunctions:
     @pytest.mark.parametrize("parity", [EV, OD])
     def test_pruned_enumeration_matches_the_plain_sum(self, parity, rng):
         # every torus with at most 12 edges, at generic weights, six-vertex
-        # weights and six-vertex weights with one more zero slot
+        # weights and six-vertex weights with one more zero slot, each also
+        # with mixed signs (measured against the sum of the absolute
+        # products); the draws share each shape's cached table
         shapes = [(r, c) for r in range(1, 7) for c in range(1, 7) if r * c <= 6]
         for zeros in ((), (6, 7), (4, 6, 7)):
             w = rng.uniform(0.2, 1.4, size=8)
             w[list(zeros)] = 0.0
-            w8 = WeightsEight(tuple(w), parity)
-            for rows, cols in shapes:
-                lattice = LatticeSpec(rows, cols)
-                ref = enumerate_by_definition(w8, lattice)
-                z = partition_enumerate(w8, lattice)
-                assert abs(z - ref) <= 1e-14 * abs(ref), (zeros, rows, cols, z, ref)
+            for signs in (np.ones(8), rng.choice([-1.0, 1.0], size=8)):
+                w8 = WeightsEight(tuple(signs * w), parity)
+                for rows, cols in shapes:
+                    lattice = LatticeSpec(rows, cols)
+                    ref = enumerate_by_definition(w8, lattice)
+                    scale = enumerate_by_definition(WeightsEight(tuple(w), parity), lattice)
+                    z = partition_enumerate(w8, lattice)
+                    assert abs(z - ref) <= 1e-14 * abs(scale), (zeros, rows, cols, z, ref)
         # the staggered cell on the square and on both oblong tori
         for rows, cols in ((2, 2), (2, 4), (4, 2)):
-            w8 = random_eight(rng, parity)
-            lattice = LatticeSpec(rows, cols)
-            ref = enumerate_by_definition(w8, lattice, staggered=True)
-            z = partition_enumerate(w8, lattice, staggered=True)
-            assert abs(z - ref) <= 1e-14 * abs(ref), (rows, cols, z, ref)
+            w = rng.uniform(0.2, 1.4, size=8)
+            for signs in (np.ones(8), rng.choice([-1.0, 1.0], size=8)):
+                w8 = WeightsEight(tuple(signs * w), parity)
+                lattice = LatticeSpec(rows, cols)
+                ref = enumerate_by_definition(w8, lattice, staggered=True)
+                scale = enumerate_by_definition(
+                    WeightsEight(tuple(w), parity), lattice, staggered=True
+                )
+                z = partition_enumerate(w8, lattice, staggered=True)
+                assert abs(z - ref) <= 1e-14 * abs(scale), (rows, cols, z, ref)
+
+    @pytest.mark.parametrize("family", ["even", "odd"])
+    def test_allowed_configurations_are_cached_per_shape(self, family):
+        # every shape up to the guard: one edge parity per vertex fixes all
+        # but rows cols + 1 edges, and an odd family on an odd-by-odd
+        # torus allows none
+        allowed = np.flatnonzero(vertex_matrix(family, np.ones(8)))
+        shapes = [(r, c) for r in range(1, 17) for c in range(1, 17) if r * c <= 16]
+        try:
+            for rows, cols in shapes:
+                codes = _allowed_codes(rows, cols, family)
+                empty = family == "odd" and rows % 2 and cols % 2
+                assert codes.shape == (rows * cols, 0 if empty else 2 ** (rows * cols + 1))
+                assert codes.dtype == np.uint8 and not codes.flags.writeable
+                assert _allowed_codes(rows, cols, family) is codes
+                assert np.isin(codes, allowed).all()
+        finally:
+            _allowed_codes.cache_clear()
 
     @pytest.mark.parametrize("rows,cols", [(3, 5), (5, 3)])
     def test_odd_by_odd_enumeration_is_exactly_zero(self, rows, cols, rng):
@@ -853,6 +881,8 @@ class TestPartitionFunctions:
         assert abs(zt - ze) < 1e-11 * abs(ze)
 
     def test_enumeration_peak_memory_at_the_guard(self, rng):
+        # the cold call, which builds the table of allowed configurations
+        _allowed_codes.cache_clear()
         tracemalloc.start()
         try:
             partition_enumerate(random_eight(rng, EV), LatticeSpec(4, 4))
