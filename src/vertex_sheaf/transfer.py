@@ -250,17 +250,41 @@ _FLIP = [1, 0, 3, 2]
 
 
 @functools.cache
-def _shift_orbits(sites: int, period: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orbits of the cyclic shift P by ``period`` sites on the 2^sites basis.
+def _sectors(sites: int, period: int) -> tuple:
+    """The orbits of the cyclic shift P by ``period`` sites on the 2^sites
+    basis in two sigma^z sectors of M orbits each, and the tables of their
+    half momentum spectrum: (reps, images, weight, unweight, count,
+    inverse), read-only and cached, since every caller shares them.
 
-    Returns ``images`` (orbits x L, L = sites / period), whose row a holds
-    P^t r_a for t = 0..L-1 starting from the representative r_a, the rows
-    in increasing order of r_a, and ``weight`` (L x orbits), the entry
-    [k, a] being sqrt(d_a / L) where the orbit carries momentum k
-    (k d_a = 0 mod L) and exactly 0 where it does not; d_a is the orbit
-    size, a divisor of L.  The representative is the orbit's smallest
-    state.  Both are small next to a 2^sites matrix and read-only, since
-    every caller shares them.
+    P^L = 1 with L = sites / period.  With r_a the representative (the
+    orbit's smallest state) and d_a the size of orbit a, a divisor of L,
+    the states |a, k> = (sqrt(d_a) / L) sum_t exp(-2 pi i k t / L) P^t |r_a>
+    are orthonormal; they exist only where k d_a = 0 mod L (otherwise the
+    sum of phases cancels over each period of the orbit), and for each k
+    they span the momentum-k eigenspace of P.  A real operator F that
+    commutes with P has B_(L-k) = conj(B_k) (``_momentum_blocks``), and
+    the weights at L - k equal those at k, so the L // 2 + 1 momenta
+    k = 0..L//2 of a real FFT carry F: momentum k stands for count_k of
+    the L momenta, 1 at k = 0 and k = L/2 and 2 between.
+
+    The shift keeps the number of up arrows, so an orbit has the parity
+    of its states (``linalg._parity_sectors``).  Sector 0 holds the even
+    orbits in increasing order of r_a, sector 1 the odd ones, and the
+    smaller sector is padded to M with phantom orbits of weight 0 at
+    every k, zero rows and columns of every block.  At an odd site count
+    the spin flip S maps the even orbits one to one onto the odd ones, so
+    the sectors are equal in size, and S T S = T for every symmetric row
+    T, the only rows a scan there builds: no scan there reads sector 1
+    (``commutation_scan``); the trace reads both.
+
+    ``reps`` lists the representatives, sector by sector; ``images``
+    (2 x M x L) holds P^t r_a at [s, a, t]; ``weight`` (2 x M x
+    (L // 2 + 1)) is sqrt(d_a / L) where orbit a carries k and exactly 0
+    where it does not; ``unweight`` (2 x M) is sqrt(L / d_a), 0 for a
+    phantom; ``count`` holds count_k; and row t of ``inverse``
+    (L x (L // 2 + 1)) is (count_k / L) exp(2 pi i k t / L), the angle
+    reduced mod L: the real part of its product with a half spectrum is
+    the inverse real DFT.
     """
     length = sites // period
     states = np.arange(2**sites)
@@ -270,35 +294,9 @@ def _shift_orbits(sites: int, period: int) -> tuple[np.ndarray, np.ndarray]:
         prev = images[:, t - 1]
         images[:, t] = ((prev << period) | (prev >> (sites - period))) & (2**sites - 1)
     images = images[images.min(axis=1) == states]
-    sizes = length // (images == images[:, :1]).sum(axis=1)
-    k = np.arange(length)[:, None]
+    sizes = length // (images == images[:, :1]).sum(axis=1)[:, None]
+    k, t = np.arange(length // 2 + 1), np.arange(length)[:, None]
     weight = np.where(k * sizes % length == 0, np.sqrt(sizes / length), 0.0)
-    images.flags.writeable = weight.flags.writeable = False
-    return images, weight
-
-
-@functools.cache
-def _sectors(sites: int, period: int) -> tuple:
-    """The orbits of ``_shift_orbits`` in two sectors of M orbits each,
-    split by sigma^z parity: (reps, images, weight, unweight), read-only
-    and cached like the orbits.
-
-    The shift keeps the number of up arrows, so an orbit has the parity
-    of its states (``linalg._parity_sectors``).  Sector 0 holds the even
-    orbits in order, sector 1 the odd ones, and the smaller sector is
-    padded to M with phantom orbits of weight 0 at every k, zero rows and
-    columns of every block.  At an odd site count the spin flip S maps
-    the even orbits one to one onto the odd ones, so the sectors are equal
-    in size, and S T S = T for every symmetric row T, the only rows a scan
-    there builds: no scan there reads sector 1 (``commutation_scan``); the
-    trace reads both.
-    ``reps`` lists the first images, sector by sector; ``images`` is
-    2 x M x L; ``weight`` the momentum weights of the real FFT's
-    momenta, 2 x M x (L // 2 + 1); ``unweight`` sqrt(L / d_a),
-    their inverse where nonzero, 0 for a phantom.
-    """
-    images, weight = _shift_orbits(sites, period)
-    weight = weight[: images.shape[1] // 2 + 1].T
     odd = np.isin(images[:, 0], linalg._parity_sectors(2**sites)[1])
     parts = [(images[~odd], weight[~odd]), (images[odd], weight[odd])]
     size = max(len(im) for im, _ in parts)
@@ -306,7 +304,9 @@ def _sectors(sites: int, period: int) -> tuple:
     weight = np.stack([np.pad(w, ((0, size - len(w)), (0, 0))) for _, w in parts])
     first = weight[..., 0]
     unweight = np.divide(1.0, first, out=np.zeros_like(first), where=first != 0)
-    sectors = images[..., 0].reshape(-1), images, weight, unweight
+    count = np.where((k == 0) | (2 * k == length), 1.0, 2.0)
+    inverse = count / length * np.exp(2j * np.pi * (k * t % length) / length)
+    sectors = images[..., 0].reshape(-1), images, weight, unweight, count, inverse
     for a in sectors:
         a.flags.writeable = False
     return sectors
@@ -329,13 +329,8 @@ def _momentum_blocks(factors, sites: int, period: int) -> np.ndarray:
     multiplied, so only the running product is held while the next array
     is drawn.  The blocks of each operator are those it would have alone.
 
-    P is the cyclic shift of the chain, P^L = 1 with L = sites / period.
-    With r_a the representative and d_a the size of orbit a, the states
-    |a, k> = (sqrt(d_a) / L) sum_t exp(-2 pi i k t / L) P^t |r_a>
-    are orthonormal; they exist only where k d_a = 0 mod L (otherwise
-    the sum of phases cancels over each period of the orbit), and for
-    each k = 0..L-1 they span the momentum-k eigenspace of P.  F keeps k
-    and has the block
+    With the momentum states |a, k> of ``_sectors``, F keeps k and has
+    the block
     <a, k|F|b, k> = sqrt(d_a d_b) / L * sum_t exp(-2 pi i k t / L) F[r_a, P^t r_b],
     one FFT over t of the representative rows gathered at the orbit
     images.  The sum over t repeats with period d_a and with period d_b,
@@ -344,12 +339,12 @@ def _momentum_blocks(factors, sites: int, period: int) -> np.ndarray:
     restores the exact 0, and the missing states (and the phantom
     orbits) become zero rows and columns that no product, power or trace
     sees.  A real F has B_(L-k) = conj(B_k), the FFT of a real sequence
-    at -k, and the weights at L - k equal those at k, so the L // 2 + 1
-    blocks of a real FFT determine F, and those of a product are the
-    products of its factors' blocks.  The weights w_a w_b of each sector
-    are applied to the spectrum in its own (s, n, a, b, k) layout.
+    at -k, so the blocks of the half spectrum determine F, and those of a
+    product are the products of its factors' blocks.  The weights w_a w_b
+    of each sector are applied to the spectrum in its own (s, n, a, b, k)
+    layout.
     """
-    _, images, weight, _ = _sectors(sites, period)
+    _, images, weight, *_ = _sectors(sites, period)
     weight = (weight[:, :, None] * weight[:, None, :])[:, None]
     size, length = images.shape[1:]
     product = None
@@ -388,12 +383,9 @@ def partition_trace(
     power in one batched matrix power, so no dense power is formed, and
     only the rows at the orbit representatives of both sectors are built:
     about 2^cols / (cols / p) of the 2^cols rows.  The weights are real,
-    so the rows are float64.  The trace is the sum over s and k of the
-    block traces tr_(s,k), and for real rows B_(L-k) = conj(B_k), so
-    tr_(s,L-k) = conj(tr_(s,k)) for every power and product.  Hence, in
-    each sector, Tr = tr_0 + 2 Re sum_(0<k<L/2) tr_k (+ tr_(L/2) when L
-    is even), with tr_0 and tr_(L/2) real: the L // 2 + 1 blocks of a
-    real FFT carry the whole trace, and the result is exactly real.
+    so the rows are float64, and the trace is the sum over s and k of
+    count_k Re tr_(s,k), tr_(s,k) the trace of the power's block (s, k)
+    and count_k the momenta that k stands for (``_sectors``): exactly real.
 
     Every row keeps the sectors but one: a vertex of the odd family has
     an odd number of incoming arrows, so a uniform odd row T_O on an odd
@@ -420,10 +412,10 @@ def partition_trace(
             return 0.0
         (m,) = cell
         row_cells, power = [((m[:, _FLIP],), 0), ((m[_FLIP],), 0)], rows // 2
-    reps = _sectors(cols, period)[0]
+    reps, *_, count, _ = _sectors(cols, period)
     step = _momentum_blocks((_cell_row(c, cols, r, reps) for c, r in row_cells), cols, period)
     traces = np.linalg.matrix_power(step, power).diagonal(axis1=-2, axis2=-1).sum(axis=-1).real
-    traces[..., 1 : (cols // period + 1) // 2] *= 2
+    traces *= count
     return float(traces.sum())
 
 
@@ -432,7 +424,7 @@ def _allowed_codes(rows: int, cols: int, family: str) -> np.ndarray:
     """Every edge configuration of the rows x cols torus that the vertex
     rule of ``family`` allows, as its vertex codes 2*(2*left + bottom) +
     2*right + top (vertices x configurations, uint8; read-only, cached
-    like the orbits: it depends on the shape and family, not the weights).
+    like ``_sectors``: it depends on the shape and family, not the weights).
 
     Edges are assigned vertex by vertex: each vertex doubles the partial
     configurations once for every one of its four edges not yet
@@ -594,7 +586,7 @@ def _transfer_of_kind(points: list, kind: str, sites: int, period: int):
         cells, rows = [_cell(p, staggered=True) for p in points], _STAGGERED_ROWS[kind]
     else:
         raise ValueError(f"unknown transfer kind {kind!r}")
-    reps, images, weight, _ = _sectors(sites, period)
+    reps, images, weight, *_ = _sectors(sites, period)
     sectors, size = 2 - sites % 2, images.shape[1]
     reps = reps[: sectors * size]
     blocks = np.empty((len(cells), sectors, weight.shape[2], size, size), dtype=complex)
@@ -612,44 +604,25 @@ def _transfer_of_kind(points: list, kind: str, sites: int, period: int):
     return blocks, scales
 
 
-@functools.cache
-def _inverse_dft(sites: int, period: int) -> np.ndarray:
-    """The inverse real DFT over the momenta k = 0..L//2 as a table
-    (L = sites / period).
-
-    Row t of the L x (L // 2 + 1) table is (c_k / L) exp(2 pi i k t / L),
-    c_k = 1 at k = 0 and k = L/2 and 2 between, the angle reduced mod L:
-    the real part of its product with a half spectrum is the inverse real
-    DFT.  Read-only, cached like the orbits.
-    """
-    length = sites // period
-    k, t = np.arange(length // 2 + 1), np.arange(length)[:, None]
-    count = np.where((k == 0) | (2 * k == length), 1.0, 2.0)
-    table = count / length * np.exp(2j * np.pi * (k * t % length) / length)
-    table.flags.writeable = False
-    return table
-
-
 def _largest_entries(blocks: np.ndarray, sites: int, period: int) -> np.ndarray:
     """max |M[r_a, P^t r_b]| over t, a and b for each of a stack of real
     operators M that commute with P^period, from their sector momentum
     blocks (... x S x k x M x M, any leading stack axes, S sectors), which
     it rescales in place.
 
-    Block (s, k) holds w_a w_b times the DFT over t of M[r_a, P^t r_b],
-    a and b orbits of sector s, which M keeps; that sequence repeats
-    with the period of both orbits, so its DFT vanishes wherever either
-    weight does, and so does the block, exactly: a zero weight zeroes its
-    row and column of every block and of every product of blocks.
-    Dividing by the nonzero weights and putting 0 elsewhere therefore
-    divides every k by the same w_a w_b = sqrt(d_a d_b) / L, before the
-    inverse real DFT over k gives the L entries back.  That DFT is one
-    product with a cached table (``_inverse_dft``), for the few momenta
-    of a chain cheaper than an inverse FFT for every (a, b).  The entries
-    between the sectors are exact zeros and are never formed.
+    Block (s, k) is w_a w_b times the DFT over t of M[r_a, P^t r_b], a
+    and b orbits of sector s, which M keeps (``_momentum_blocks``): a zero
+    weight zeroes its row and column, exactly, of every block and of every
+    product of blocks.  Dividing by the nonzero weights and putting 0
+    elsewhere (``unweight``) therefore divides every k by the same
+    w_a w_b = sqrt(d_a d_b) / L, and the inverse real DFT over k, one
+    product with the ``inverse`` table of ``_sectors`` (for the few
+    momenta of a chain cheaper than an inverse FFT for every (a, b)),
+    gives the L entries back.  The entries between the sectors are exact
+    zeros and are never formed.
     """
-    inverse, stack = _inverse_dft(sites, period), blocks.shape[:-4]
-    unweight = _sectors(sites, period)[3][: blocks.shape[-4]]
+    *_, unweight, _, inverse = _sectors(sites, period)
+    unweight, stack = unweight[: blocks.shape[-4]], blocks.shape[:-4]
     blocks *= (unweight[:, :, None] * unweight[:, None, :])[:, None]
     entries = (inverse @ blocks.reshape(*stack, *blocks.shape[-4:-2], -1)).real.reshape(*stack, -1)
     return linalg.real_abs_max(entries, axis=-1)

@@ -21,7 +21,6 @@ from vertex_sheaf.transfer import (
     _row_transfer,
     _scan_bytes,
     _sectors,
-    _shift_orbits,
     _transfer_of_kind,
     commutation_scan,
     partition_enumerate,
@@ -118,6 +117,32 @@ def enumerate_by_definition(w8: WeightsEight, lattice: LatticeSpec, staggered=Fa
     return total
 
 
+def orbits_by_definition(sites: int, period: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits of the cyclic shift P by ``period`` sites, one basis state
+    at a time, with their weights at all L = sites / period momenta.
+
+    P moves every site ``period`` places towards the first, the most
+    significant bit.  Row a of ``images`` is P^t r_a for t = 0..L-1, r_a
+    the orbit's smallest state, the rows in increasing order of r_a; entry
+    [k, a] of ``weight`` (L x orbits) is sqrt(d_a / L), d_a the number of
+    distinct states in the orbit, where k d_a = 0 mod L, and 0 elsewhere.
+    """
+    length, seen, images = sites // period, set(), []
+    for state in range(2**sites):
+        if state in seen:
+            continue
+        orbit, bits = [], format(state, f"0{sites}b")
+        for _ in range(length):
+            orbit.append(int(bits, 2))
+            bits = bits[period:] + bits[:period]
+        seen.update(orbit)
+        images.append(orbit)
+    sizes = [len(set(orbit)) for orbit in images]
+    weight = [[np.sqrt(d / length) if k * d % length == 0 else 0.0 for d in sizes]
+              for k in range(length)]
+    return np.array(images), np.array(weight)
+
+
 def trace_by_full_spectrum(w8: WeightsEight, lattice: LatticeSpec, staggered=False) -> complex:
     """The momentum-block trace from dense rows and all L momenta.
 
@@ -136,7 +161,7 @@ def trace_by_full_spectrum(w8: WeightsEight, lattice: LatticeSpec, staggered=Fal
         period, factors = 2, ([lx, ly] * (cols // 2), [ly, lx] * (cols // 2))
     else:
         period, factors = 1, ([mats[0]] * cols,)
-    images, weight = _shift_orbits(cols, period)
+    images, weight = orbits_by_definition(cols, period)
     step = None
     for row in factors:
         f = _row_transfer(row)
@@ -249,7 +274,7 @@ class TestRepresentativeRows:
             rows += [[lx, ly] * (sites // 2), [ly, lx] * (sites // 2)]
         rows += [[m[SWAP][:, SWAP] for m in row] for row in rows]
         for period in (1, 2) if sites % 2 == 0 else (1,):
-            reps = _shift_orbits(sites, period)[0][:, 0]
+            reps = orbits_by_definition(sites, period)[0][:, 0]
             for mats in rows:
                 assert np.array_equal(_row_transfer(mats, reps), _row_transfer(mats)[reps])
 
@@ -257,7 +282,7 @@ class TestRepresentativeRows:
         real = lax_asym(random_eight(rng, OD))
         mats = [real, real * np.exp(0.7j), real, real]
         for period in (1, 2):
-            reps = _shift_orbits(4, period)[0][:, 0]
+            reps = orbits_by_definition(4, period)[0][:, 0]
             rows = _row_transfer(mats, reps)
             assert rows.dtype == np.complex128
             assert np.array_equal(rows, _row_transfer(mats)[reps])
@@ -299,8 +324,8 @@ class TestRepresentativeRows:
         # phantoms (weight 0 at every k, unweight 0) pad the smaller
         # sector, and at an odd length there are none: the spin flip maps
         # the even orbits one to one onto the odd ones, with equal weights
-        images = _shift_orbits(sites, period)[0]
-        reps, sector_images, sector_weight, unweight = _sectors(sites, period)
+        images = orbits_by_definition(sites, period)[0]
+        reps, sector_images, sector_weight, unweight, *_ = _sectors(sites, period)
         parity = np.zeros(2**sites, dtype=int)
         parity[linalg._parity_sectors(2**sites)[1]] = 1
         real = sector_weight[..., 0] != 0
@@ -321,6 +346,32 @@ class TestRepresentativeRows:
             flips = {frozenset(row): w for row, w in
                      zip((sector_images[0] ^ (2**sites - 1)).tolist(), sector_weight[0].tolist())}
             assert flips == odd
+
+    @pytest.mark.parametrize("sites,period", [(1, 1), (2, 1), (2, 2), (4, 2), (5, 1), (6, 1),
+                                              (6, 2), (7, 1), (8, 2), (9, 1)])
+    def test_sectors_are_the_one_momentum_table(self, sites, period, rng):
+        # the real orbits of both sectors cover the basis once, a
+        # half-spectrum momentum k stands for count_k momenta so that the
+        # momentum states number 2^sites, and the weights and the inverse
+        # DFT are those of the definition
+        table = _sectors(sites, period)
+        _, images, weight, _, count, inverse = table
+        length = sites // period
+        real = weight[..., 0] != 0
+        orbits = [set(row) for row in images[real].tolist()]
+        assert sum(map(len, orbits)) == 2**sites
+        assert set().union(*orbits) == set(range(2**sites))
+        assert (count * np.count_nonzero(weight, axis=(0, 1))).sum() == 2**sites
+        assert count.sum() == length
+        assert np.array_equal(inverse[0], count / length)
+        spectrum = np.fft.rfft(rng.normal(size=length))
+        assert np.allclose((inverse @ spectrum).real, np.fft.irfft(spectrum, length))
+        ref_images, ref_weight = orbits_by_definition(sites, period)
+        order = np.argsort(images[real][:, 0])
+        assert np.array_equal(images[real][order], ref_images)
+        assert np.array_equal(weight[real][order], ref_weight[: length // 2 + 1].T)
+        assert _sectors(sites, period) is table
+        assert not any(a.flags.writeable for a in table)
 
 
 class TestSpinFlipSectors:
@@ -380,7 +431,7 @@ class TestSpinFlipSectors:
         # odd rows are the even rows at their spin flips (T_od = S T_ev),
         # and those are the even rows reversed (S T_ev S = T_ev), bit for bit
         point = random_sym(rng)
-        reps = rng.choice(_shift_orbits(sites, 1)[0][:, 0], size=64, replace=False)
+        reps = rng.choice(orbits_by_definition(sites, 1)[0][:, 0], size=64, replace=False)
         odd = _cell_row((lax_odd(point),), sites, 0, reps)
         even = (lax_even(point),)
         assert np.array_equal(odd, _cell_row(even, sites, 0, reps ^ (2**sites - 1)))
@@ -606,7 +657,7 @@ class TestOddRowRule:
     def test_flipped_legs_at_sampled_representatives(self, sites, rng):
         # the same identity beyond MAX_SITES, at rows a scan may build:
         # T_X reads T_O's rows at reversed columns, T_Y reads its flipped rows
-        reps = rng.choice(_shift_orbits(sites, 1)[0][:, 0], size=64, replace=False)
+        reps = rng.choice(orbits_by_definition(sites, 1)[0][:, 0], size=64, replace=False)
         for m in self.orientations(rng):
             row = _cell_row((m,), sites, 0, reps)
             assert np.array_equal(_cell_row((m[:, FLIP],), sites, 0, reps), row[:, ::-1])
@@ -798,20 +849,6 @@ class TestPartitionFunctions:
         # T_odd maps each sigma^z-string sector to the other on an odd chain,
         # a structure the momentum blocks and their odd powers keep exactly
         assert partition_trace(random_eight(rng, OD), LatticeSpec(rows, cols)) == 0.0
-
-    @pytest.mark.parametrize("sites,period", [(1, 1), (4, 2), (6, 1), (6, 2), (7, 1)])
-    def test_shift_orbits_cover_every_momentum_state(self, sites, period):
-        images, weight = _shift_orbits(sites, period)
-        length = sites // period
-        assert images.shape[1] == length
-        assert sorted(np.unique(images)) == list(range(2**sites))
-        # the momentum states number 2^sites, one per basis state
-        assert np.count_nonzero(weight) == 2**sites
-        assert _shift_orbits(sites, period) is _shift_orbits(sites, period)
-        assert not images.flags.writeable and not weight.flags.writeable
-        # each representative is its orbit's smallest state, in increasing order
-        assert np.array_equal(images[:, 0], images.min(axis=1))
-        assert np.all(np.diff(images[:, 0]) > 0)
 
     @pytest.mark.parametrize("parity", [EV, OD])
     def test_pruned_enumeration_matches_the_plain_sum(self, parity, rng):
